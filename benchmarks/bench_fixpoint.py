@@ -769,9 +769,11 @@ def assert_single_pass(scale: float = 1.0) -> dict:
                 "keyed stage tables must persist across rounds",
             )
         if path_name == "fast" and counts["stage"] != 0:
-            raise AssertionError("fast path staged rows despite no observer")
+            raise AssertionError("fast path staged rows despite no assignment consumer")
         if path_name == "fast" and counts["create_temp_table"] != 0:
-            raise AssertionError("fast path created stage tables despite no observer")
+            raise AssertionError(
+                "fast path created stage tables despite no assignment consumer",
+            )
         if path_name == "staged" and not (
             counts["stage"] == context.stats.staged_installs > 0
         ):

@@ -107,7 +107,7 @@ class RepairEngine:
 
     @property
     def context(self) -> "EvalContext":
-        """The shared evaluation context (plan caches, observers, stats)."""
+        """The shared evaluation context (plan caches, stats)."""
         return self._context
 
     # -- queries -----------------------------------------------------------------

@@ -39,7 +39,7 @@ def end_semantics(
     The input database is never modified; the returned result carries a
     repaired clone.  ``engine`` selects the closure engine (see
     :func:`repro.datalog.evaluation.run_closure`) and ``context`` shares
-    planning state (and delivers assignments to its observers) across runs.
+    planning state across runs.
     End semantics only needs the derived delta *facts*, so by default it does
     not collect assignments — on SQLite this enables the install-only
     fast path (one join per rule variant per round).  Pass

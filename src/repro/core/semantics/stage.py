@@ -19,18 +19,13 @@ on in-memory databases, the generation-window SQL variants of
 :func:`repro.datalog.sql_seminaive.seeded_assignments_sql` on SQLite-backed
 ones).  ``engine="naive"`` keeps the re-evaluate-everything loop as the oracle.
 
-With a shared :class:`~repro.datalog.context.EvalContext` (e.g. inside a
-``RepairEngine.compare()`` run) both discovery paths turn adaptive: join
-plans are re-costed at every stage boundary
+Discovery always streams: plain single-pass SELECTs on SQLite, planned joins
+in memory.  With a shared :class:`~repro.datalog.context.EvalContext` (e.g.
+inside a ``RepairEngine.compare()`` run) both paths reuse the context's
+compiled variants and join plans, and the in-memory planner re-costs its plans
+at every stage boundary
 (:meth:`~repro.datalog.planner.JoinPlanner.begin_round` — deletions shrink
-extents, so cached orders go stale), and when the context carries assignment
-*observers* each discovered assignment is delivered to them once per
-enumeration on both backends — the SQLite path stages the discovery join
-through the persistent keyed stage table so rows feed the observers and the
-live-assignment index from one join (see
-:mod:`repro.datalog.sql_seminaive`), the in-memory path mirrors its planned
-enumeration to the observers as it streams.  Without observers discovery
-stays on plain single-pass SELECTs / streamed joins.
+extents, so cached orders go stale).
 """
 
 from __future__ import annotations
@@ -136,45 +131,21 @@ class _MemoryStageDiscovery:
         self, working: BaseDatabase, rules: List[Rule], context=None,
     ) -> None:
         from repro.datalog.planner import JoinPlanner
+        from repro.datalog.seminaive import _FrontierTokens
 
         self._working = working
         self._rules = rules
-        self._context = context
         self._planner = (
             context.planner(working) if context is not None else JoinPlanner(working)
         )
         self._delta_rules = [
             rule for rule in rules if any(atom.is_delta for atom in rule.body)
         ]
-        self._relations = sorted(
-            {
-                atom.relation
-                for rule in self._delta_rules
-                for atom in rule.body
-                if atom.is_delta
-            },
-        )
-        self._tokens = {
-            relation: working.delta_token(relation) for relation in self._relations
-        }
-
-    def _deliver(self, assignments: Iterable[Assignment]) -> Iterator[Assignment]:
-        """Yield ``assignments``, mirroring each to the context's assignment
-        observers (same delivery the SQL discovery path performs while
-        staging) — a no-op pass-through without observers."""
-        context = self._context
-        if context is None or not context.has_observers:
-            yield from assignments
-            return
-        for assignment in assignments:
-            context.notify(assignment)
-            yield assignment
+        self._tokens = _FrontierTokens(working, self._delta_rules)
 
     def initial(self) -> Iterator[Assignment]:
         for rule in self._rules:
-            yield from self._deliver(
-                find_assignments(self._working, rule, planner=self._planner),
-            )
+            yield from find_assignments(self._working, rule, planner=self._planner)
 
     def newly_enabled(self) -> Iterator[Assignment]:
         from repro.datalog.seminaive import seeded_assignments
@@ -182,16 +153,11 @@ class _MemoryStageDiscovery:
         # Stage boundary: deletions changed the extents, so let the planner
         # re-cost any plan whose snapshot has drifted.
         self._planner.begin_round()
-        frontier: Dict[str, Set[Fact]] = {}
-        for relation in self._relations:
-            added = self._working.delta_added_since(relation, self._tokens[relation])
-            self._tokens[relation] = self._working.delta_token(relation)
-            if added:
-                frontier[relation] = set(added)
+        frontier = self._tokens.advance()
         if frontier:
             for rule in self._delta_rules:
-                yield from self._deliver(
-                    seeded_assignments(self._working, rule, frontier, self._planner),
+                yield from seeded_assignments(
+                    self._working, rule, frontier, self._planner,
                 )
 
 

@@ -61,10 +61,10 @@ def step_semantics(
         :func:`repro.datalog.evaluation.run_closure`); the exhaustive search
         evaluates single hypothetical states and ignores it.
     context:
-        Optional shared :class:`~repro.datalog.context.EvalContext`.  The
-        provenance build registers as an assignment observer of the closure
-        (so on SQLite it reads the staged rows of the single per-round join),
-        and the context's plan/variant caches carry over to sibling runs.
+        Optional shared :class:`~repro.datalog.context.EvalContext` whose
+        plan/variant caches carry over to sibling runs.  The provenance build
+        is the closure's ``on_assignment`` hook (so on SQLite it reads the
+        staged rows of the single per-round join).
     """
     validate_engine(engine)
     if method == "greedy":

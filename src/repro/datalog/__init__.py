@@ -16,7 +16,7 @@ provides:
   SQLite-backed databases (frontier tables + generation windows, single-pass
   staged rounds);
 * :mod:`repro.datalog.context` — the shared evaluation context: cross-run
-  plan/variant caches, assignment observers, query statistics;
+  plan/variant caches and query statistics;
 * :mod:`repro.datalog.planner` — per-rule join planning with cached plans;
 * :mod:`repro.datalog.analysis` — dependency graphs, recursion detection,
   relation stratification;

@@ -1,9 +1,9 @@
-"""Shared evaluation context: plan caches, assignment observers, query stats.
+"""Shared evaluation context: plan caches and query stats.
 
 One :class:`EvalContext` groups a family of fixpoint runs that should share
 their planning work — typically the four semantics of one
 :class:`~repro.core.repair.RepairEngine.compare` call, which evaluate the same
-program against clones of the same database.  The context carries three kinds
+program against clones of the same database.  The context carries two kinds
 of shared state:
 
 * **plan caches** — a structural :class:`~repro.datalog.planner.JoinPlan`
@@ -12,39 +12,26 @@ of shared state:
   frontier variants for the SQLite engine (:meth:`frontier_variants`), so one
   ``compare()`` run plans each rule structure and compiles each rule exactly
   once across all four semantics;
-* **assignment observers** — callables invoked once per *new* assignment a
-  closure enumerates (:meth:`add_observer` / :meth:`notify`).  Observers are
-  the reason a SQLite round materialises its staged rows at all: when a run
-  has no observer, no ``on_assignment`` hook and ``collect_assignments=False``,
-  the SQL driver skips assignment enumeration entirely and installs head facts
-  straight from the single join (the *fast path*);
 * **query statistics** (:class:`QueryStats`) — counters the SQL driver bumps
   per executed statement class, used by the regression tests and the benchmark
   smoke run to assert that every rule variant's join runs exactly once per
   round (no double-join).
+
+Assignments leave a run only through the per-call ``on_assignment`` hook and
+the returned :class:`~repro.datalog.evaluation.ClosureResult`; the context
+carries no subscribers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from typing import TYPE_CHECKING, Callable, Dict, List, Tuple
-
-from repro.datalog.planner import DRIFT_FACTOR
+from typing import TYPE_CHECKING, Dict, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.datalog.ast import Rule
-    from repro.datalog.evaluation import Assignment
     from repro.datalog.planner import JoinPlanner
     from repro.datalog.sql_compiler import FrontierQuery
     from repro.storage.database import BaseDatabase
-    from repro.storage.facts import Fact
-
-#: Signature of an assignment observer.
-AssignmentObserver = Callable[["Assignment"], None]
-
-#: Signature of a candidate observer: ``(relation, fact)`` for every fact an
-#: in-memory candidate iterator yields while a subscribed run evaluates.
-CandidateObserver = Callable[[str, "Fact"], None]
 
 
 @dataclass
@@ -55,9 +42,8 @@ class QueryStats:
     ----------
     staged_selects:
         Keyed ``INSERT INTO _repro_stage_wN ... SELECT`` statements — one
-        *join* each; the staged rows then feed the observers (and, in the
-        closure driver, the install).  Includes the staged stage-discovery
-        joins run when a context is shared across semantics.
+        *join* each; the staged rows then feed the assignment consumers
+        (``collect_assignments`` / ``on_assignment``) and the install.
     stage_ddl:
         ``CREATE TEMP TABLE``/``CREATE INDEX`` statements creating a keyed
         stage table — at most one table per distinct variant width per
@@ -68,31 +54,22 @@ class QueryStats:
         the staged rows, **not** a join over the base tables.
     direct_installs:
         Fast-path ``INSERT OR IGNORE ... SELECT`` over the base tables — one
-        join each, used when no observer needs the assignments.
+        join each, used when nothing consumes the assignments.
     assignment_selects:
-        Plain streaming assignment ``SELECT`` joins run under a context —
-        the stage-semantics discovery path when no assignment observer is
-        registered (staging would be pure overhead with a single consumer;
-        the gate mirrors the closure driver's ``observing`` flag).
+        Plain streaming assignment ``SELECT`` joins run under a context — the
+        stage-semantics and maintenance discovery path.
     replans:
         Join plans rebuilt by round-boundary re-costing: the in-memory
         planner detected that a relation's extent drifted past the
         :data:`~repro.datalog.planner.DRIFT_FACTOR` band around the
         cardinalities its cached plan was costed with, and re-costed the
         plan in the shared structural cache.
-    noop_replans:
-        The subset of :attr:`replans` whose rebuilt plan kept the old join
-        order — wasted rebuilds, the signal the adaptive drift band widens
-        on (see *Adaptive drift band* in :mod:`repro.datalog.planner`).
-    drift_factor:
-        The re-costing band observed at the last replan — the base
-        :data:`~repro.datalog.planner.DRIFT_FACTOR` until consecutive no-op
-        replans widen it.
     effective_shards, collapsed_rounds, shard_selects:
         Never incremented; always zero.  Kept because the frozen
         ``benchmarks/repair_bench`` harness reads them by name.
     replay_batches:
-        Bounded chunks in which staged rows were replayed to observers
+        Bounded chunks in which staged rows were read back into Python for
+        the assignment consumers
         (:data:`~repro.datalog.sql_seminaive.STAGE_REPLAY_CHUNK` rows per
         chunk) instead of one unbounded Python round trip.
     variant_compiles:
@@ -145,8 +122,6 @@ class QueryStats:
     direct_installs: int = 0
     assignment_selects: int = 0
     replans: int = 0
-    noop_replans: int = 0
-    drift_factor: float = DRIFT_FACTOR
     variant_compiles: int = 0
     # Never incremented; benchmarks/repair_bench reads them by name.
     effective_shards: int = 0
@@ -187,10 +162,6 @@ class EvalContext:
     stats: QueryStats = field(default_factory=QueryStats)
     _plans: Dict = field(default_factory=dict, repr=False)
     _variants: Dict = field(default_factory=dict, repr=False)
-    _observers: List[AssignmentObserver] = field(default_factory=list, repr=False)
-    _candidate_observers: List[CandidateObserver] = field(
-        default_factory=list, repr=False,
-    )
 
     # -- planning ---------------------------------------------------------------
 
@@ -239,75 +210,3 @@ class EvalContext:
             cached = compile_frontier_rule(rule, plan_kind=key[1])
             self._variants[key] = cached
         return cached
-
-    def query_context(self) -> "EvalContext":
-        """A derived context sharing stats and caches — but no observers.
-
-        The incremental-maintenance layer (:mod:`repro.datalog.incremental`)
-        runs internal discovery queries that must benefit from this context's
-        plan/variant caches and account into the same :class:`QueryStats`,
-        while observer delivery stays under the caller's exactly-once
-        deduplication — the SQL discovery path notifies context observers
-        itself, so handing it the primary context would deliver assignments
-        twice.
-        """
-        derived = EvalContext(stats=self.stats)
-        derived._plans = self._plans
-        derived._variants = self._variants
-        return derived
-
-    # -- observers --------------------------------------------------------------
-
-    def add_observer(self, observer: AssignmentObserver) -> None:
-        """Register ``observer`` to receive every new assignment enumerated."""
-        self._observers.append(observer)
-
-    def remove_observer(self, observer: AssignmentObserver) -> None:
-        """Unregister a previously added observer (no-op when absent)."""
-        try:
-            self._observers.remove(observer)
-        except ValueError:
-            pass
-
-    @property
-    def has_observers(self) -> bool:
-        """True when at least one observer is registered."""
-        return bool(self._observers)
-
-    def notify(self, assignment: "Assignment") -> None:
-        """Deliver one new assignment to every registered observer."""
-        for observer in self._observers:
-            observer(assignment)
-
-    # -- candidate observers -----------------------------------------------------
-
-    def add_candidate_observer(self, observer: CandidateObserver) -> None:
-        """Register ``observer`` on the in-memory candidate iterators.
-
-        While a run that honours the context evaluates (the semi-naive
-        in-memory closure, or a :class:`~repro.baselines.trigger_engine.TriggerEngine`
-        cascade), ``observer(relation, fact)`` fires for every fact a
-        :class:`~repro.storage.indexes.RelationIndex` candidate iterator
-        yields — a *probe-level* stream, delivered mid-round / mid-cascade as
-        the join explores, not once per finished assignment.  The SQL engine
-        never iterates candidates in Python, so SQLite-backed runs deliver
-        nothing here (subscribe assignment observers instead).
-        """
-        self._candidate_observers.append(observer)
-
-    def remove_candidate_observer(self, observer: CandidateObserver) -> None:
-        """Unregister a previously added candidate observer (no-op when absent)."""
-        try:
-            self._candidate_observers.remove(observer)
-        except ValueError:
-            pass
-
-    @property
-    def has_candidate_observers(self) -> bool:
-        """True when at least one candidate observer is registered."""
-        return bool(self._candidate_observers)
-
-    def notify_candidate(self, relation: str, item: "Fact") -> None:
-        """Deliver one candidate fact to every registered candidate observer."""
-        for observer in self._candidate_observers:
-            observer(relation, item)

@@ -302,7 +302,6 @@ def find_assignments(
     db: BaseDatabase,
     rule: Rule,
     hypothetical_deltas: bool = False,
-    use_sql: bool | None = None,
     planner=None,
 ) -> List[Assignment]:
     """Enumerate every satisfying assignment of ``rule`` over ``db``.
@@ -317,9 +316,7 @@ def find_assignments(
         When True, delta atoms may match any tuple of the database (its
         hypothetical deletion) rather than only the recorded deletions.  This
         is the mode Algorithm 1 uses to build the full Boolean provenance.
-    use_sql:
-        Force (True) or forbid (False) the SQL evaluation path.  By default the
-        SQL path is used exactly when ``db`` is a SQLite-backed engine.
+        SQLite-backed databases always evaluate the rule as one SQL join.
     planner:
         A :class:`~repro.datalog.planner.JoinPlanner` providing a static,
         cached join order for the rule.  Without one, the join order is
@@ -327,12 +324,9 @@ def find_assignments(
         (the naive oracle behaviour).  Plans the planner classified as
         ``kind="wcoj"`` route through the generic-join driver
         (:mod:`repro.datalog.wcoj`) when eligible — in-memory engine,
-        concrete deltas, no candidate observers — and fall back to the
-        binary order otherwise.
+        concrete deltas — and fall back to the binary order otherwise.
     """
-    if use_sql is None:
-        use_sql = isinstance(db, SQLiteDatabase)
-    if use_sql and isinstance(db, SQLiteDatabase):
+    if isinstance(db, SQLiteDatabase):
         from repro.datalog.sql_compiler import find_assignments_sql
 
         return find_assignments_sql(db, rule, hypothetical_deltas=hypothetical_deltas)
@@ -439,15 +433,13 @@ def run_closure(
     Records each newly derived delta fact with
     :meth:`BaseDatabase.mark_deleted` (the active extents are untouched) until
     a fixpoint is reached.  ``on_assignment`` (if given) is called exactly once
-    with every *new* assignment — the provenance tracker uses this hook.
-    Observers registered on a shared
-    :class:`~repro.datalog.context.EvalContext` (``context=``) receive the
-    same exactly-once stream; the context also carries the cross-run plan and
-    compiled-variant caches.  ``collect_assignments=False`` suppresses the
-    returned assignment list, and when *nothing* observes (no hook, no
-    context observer, no collection) the SQLite semi-naive driver takes its
-    install-only fast path: one join per rule variant per round, zero
-    assignment rows materialised in Python.
+    with every *new* assignment — the provenance tracker uses this hook.  A
+    shared :class:`~repro.datalog.context.EvalContext` (``context=``) carries
+    the cross-run plan and compiled-variant caches.
+    ``collect_assignments=False`` suppresses the returned assignment list, and
+    when *nothing* consumes the assignments (no hook, no collection) the
+    SQLite semi-naive driver takes its install-only fast path: one join per
+    rule variant per round, zero assignment rows materialised in Python.
 
     ``engine`` selects the evaluation strategy:
 
@@ -508,8 +500,6 @@ def run_closure(
                     all_assignments.append(assignment)
                 if on_assignment is not None:
                     on_assignment(assignment)
-                if context is not None:
-                    context.notify(assignment)
                 if db.mark_deleted(assignment.derived):
                     new_delta = True
         if not new_delta:

@@ -33,9 +33,9 @@ and repair outcomes against exactly that oracle on both backends.
 
 Every (rule, round) batch is sorted into the canonical
 :func:`assignment_replay_order` before recording, so the record stream — and
-with it the observer stream, the assignment-store aid order, the persisted
-``_repro_assign*`` rows and the SQLite generation stamps — does not depend on
-hash-salted index iteration order (``PYTHONHASHSEED``).
+with it the assignment-store aid order, the persisted ``_repro_assign*`` rows
+and the SQLite generation stamps — does not depend on hash-salted index
+iteration order (``PYTHONHASHSEED``).
 """
 
 from __future__ import annotations
@@ -199,13 +199,14 @@ class AssignmentStore:
 
     # -- persistence hooks (no-ops for the in-memory store) -----------------
 
-    def load_persisted(self) -> "List[Assignment] | None":
-        """Reload previously persisted assignments, in original record order.
+    def load_persisted(self) -> bool:
+        """Reload previously persisted assignments, in original record order;
+        True when the store was restored.
 
         The in-memory store has no durable mirror, so this always returns
-        None; :class:`PersistentAssignmentStore` overrides it.
+        False; :class:`PersistentAssignmentStore` overrides it.
         """
-        return None
+        return False
 
     def reset_persisted(self) -> None:
         """Drop any persisted state before a fresh closure load (no-op here)."""
@@ -356,26 +357,24 @@ class PersistentAssignmentStore(AssignmentStore):
 
     # -- durability protocol -------------------------------------------------
 
-    def load_persisted(self) -> List[Assignment] | None:
-        """Reload the persisted store, or None when it cannot be trusted.
+    def load_persisted(self) -> bool:
+        """Reload the persisted store; False when it cannot be trusted.
 
-        Refuses (returns None) when the meta table is missing or records a
-        different layout version, a different program fingerprint, or a set
-        dirty flag (torn batch).  On success the in-memory indexes are rebuilt
-        and the assignments are returned in their original record order — the
-        caller replays them to observers, preserving the exactly-once
-        delivery contract across restarts.
+        Refuses when the meta table is missing or records a different layout
+        version, a different program fingerprint, or a set dirty flag (torn
+        batch).  On success the in-memory indexes are rebuilt in the original
+        record order (aid order), so :meth:`assignments` iterates exactly as
+        it did in the writing process.
         """
         if (
             self._db.assignment_meta("version") != self.VERSION
             or self._db.assignment_meta("fingerprint") != self._fingerprint
             or self._db.assignment_meta("dirty") != "0"
         ):
-            return None
+            return False
         rows = self._db.execute(
             f"{TAG_ASSIGN} SELECT aid, rule, used FROM _repro_assign ORDER BY aid",
         ).fetchall()
-        restored: List[Assignment] = []
         self._loading = True
         try:
             for aid, rule_index, used_text in rows:
@@ -386,11 +385,10 @@ class PersistentAssignmentStore(AssignmentStore):
                         "assignment signatures (corrupted store?)",
                     )
                 self._aids[assignment.signature()] = int(aid)
-                restored.append(assignment)
         finally:
             self._loading = False
         self._next_aid = max(self._aids.values(), default=0) + 1
-        return restored
+        return True
 
     def reset_persisted(self) -> None:
         """Clear the durable mirror before a fresh closure load.
@@ -576,10 +574,8 @@ def propagate_marks(
 
     ``record`` receives every assignment the propagation enumerates and
     returns True for first sightings — only those contribute their derived
-    fact to the next round's frontier.  ``context`` must be an observer-free
-    query context (:meth:`EvalContext.query_context`): on SQLite the
-    discovery path would otherwise deliver assignments to observers a second
-    time, outside the caller's deduplication.  ``max_rounds`` caps the
+    fact to the next round's frontier.  ``context`` supplies the SQLite
+    discovery path's compiled variants and counters.  ``max_rounds`` caps the
     frontier rounds exactly like the closure engines, raising the same
     :class:`~repro.exceptions.EvaluationError`.  Returns the number of
     frontier rounds run.
@@ -600,22 +596,14 @@ def _propagate_memory(
     seeds: Iterable[Fact],
     max_rounds: int | None,
 ) -> int:
-    from repro.datalog.seminaive import Frontier, seeded_assignments
+    from repro.datalog.seminaive import _FrontierTokens, seeded_assignments
 
-    relations = sorted(
-        {atom.relation for rule in delta_rules for atom in rule.body if atom.is_delta},
-    )
-    tokens = {relation: db.delta_token(relation) for relation in relations}
+    tokens = _FrontierTokens(db, delta_rules)
     for item in seeds:
         db.mark_deleted(item)
     rounds = 0
     while True:
-        frontier: Frontier = {}
-        for relation in relations:
-            added = db.delta_added_since(relation, tokens[relation])
-            tokens[relation] = db.delta_token(relation)
-            if added:
-                frontier[relation] = set(added)
+        frontier = tokens.advance()
         if not frontier:
             return rounds
         rounds += 1

@@ -40,21 +40,6 @@ through an :class:`~repro.datalog.context.EvalContext`.  Without a
 ``begin_round`` call the cardinality cache never refreshes and the planner
 behaves exactly as before (plans are permanent).
 
-Adaptive drift band
--------------------
-
-Re-costing is only worth its cardinality reads when the rebuilt plan actually
-changes the join order.  The planner therefore tracks the *outcome* of every
-rebuild: a rebuild that kept the old order is a **no-op replan**
-(:attr:`~repro.datalog.context.QueryStats.noop_replans`), and after
-:data:`NOOP_STREAK_TO_WIDEN` consecutive no-ops the band doubles (up to
-:data:`MAX_DRIFT_FACTOR`), so a workload whose extents swing wildly without
-ever changing the optimal order stops paying for rebuilds.  A rebuild that
-*does* change the order resets the band to the base :data:`DRIFT_FACTOR` —
-the drift signal proved informative again.  The band currently in effect is
-exposed through :attr:`~repro.datalog.context.QueryStats.drift_factor` when
-the planner came from an :class:`~repro.datalog.context.EvalContext`.
-
 Width-aware plan kinds
 ----------------------
 
@@ -101,13 +86,6 @@ _CONST = "\0const"
 #: on large relative swings (the planner compares sizes, not estimates), so a
 #: wide band keeps replans rare and ping-ponging impossible within a round.
 DRIFT_FACTOR = 4.0
-
-#: Consecutive no-op replans (rebuilds that kept the join order) after which
-#: the drift band widens — and keeps widening on every further no-op.
-NOOP_STREAK_TO_WIDEN = 2
-
-#: Ceiling for the adaptively widened drift band.
-MAX_DRIFT_FACTOR = 64.0
 
 #: Environment knob forcing every eligible rule onto one plan kind
 #: (``binary`` or ``wcoj``); read at each plan build so tests can flip it.
@@ -241,8 +219,7 @@ class JoinPlanner:
     *structure*, so sharing them across clones of the same database is sound;
     only the cardinality snapshots stay per-planner.  ``stats`` (a
     :class:`~repro.datalog.context.QueryStats`) records round-boundary
-    replans; ``drift_factor`` widens or narrows the re-costing band (see the
-    module docstring).
+    replans.
     """
 
     __slots__ = (
@@ -251,9 +228,6 @@ class JoinPlanner:
         "_cardinalities",
         "_stats",
         "_recost_armed",
-        "_base_drift_factor",
-        "_noop_streak",
-        "drift_factor",
     )
 
     def __init__(
@@ -261,7 +235,6 @@ class JoinPlanner:
         db: BaseDatabase,
         plans: Dict[Hashable, JoinPlan] | None = None,
         stats=None,
-        drift_factor: float = DRIFT_FACTOR,
     ) -> None:
         self._db = db
         self._plans: Dict[Hashable, JoinPlan] = plans if plans is not None else {}
@@ -272,11 +245,6 @@ class JoinPlanner:
         #: not re-cost plans a sibling put into a shared cache (plans stay
         #: permanent for round-less consumers like the trigger probes).
         self._recost_armed = False
-        self._base_drift_factor = drift_factor
-        #: Consecutive rebuilds that kept the old join order (see module
-        #: docstring, *Adaptive drift band*).
-        self._noop_streak = 0
-        self.drift_factor = drift_factor
 
     # -- cardinality estimates -------------------------------------------------
 
@@ -318,7 +286,7 @@ class JoinPlanner:
 
         After :meth:`begin_round` has armed re-costing, a cached plan is
         returned as-is unless its cost snapshot has drifted past the
-        :attr:`drift_factor` band, in which case it is re-costed in place
+        :data:`DRIFT_FACTOR` band, in which case it is re-costed in place
         (shared caches see the refreshed plan too) and the rebuild is counted
         in ``stats.replans``.  An unarmed planner (no round boundary crossed
         yet) never re-costs, so sharing a plan cache across database
@@ -333,10 +301,8 @@ class JoinPlanner:
             return cached
         plan = self._build_plan(rule, seed, hypothetical)
         self._plans[key] = plan
-        if cached is not None:
-            self._record_replan_outcome(
-                changed_order=plan.order != cached.order or plan.kind != cached.kind,
-            )
+        if cached is not None and self._stats is not None:
+            self._stats.replans += 1
         return plan
 
     @property
@@ -344,37 +310,14 @@ class JoinPlanner:
         """The :class:`~repro.datalog.context.QueryStats` sink, or None."""
         return self._stats
 
-    def _record_replan_outcome(self, changed_order: bool) -> None:
-        """Adapt the drift band to whether the rebuild changed the join order.
-
-        Rebuilds that keep the order are wasted cardinality reads; after
-        :data:`NOOP_STREAK_TO_WIDEN` consecutive no-ops the band doubles (to at
-        most :data:`MAX_DRIFT_FACTOR`) so the next drift of the same magnitude
-        no longer triggers a rebuild.  An order-changing rebuild proves the
-        signal useful and resets the band to its base value.
-        """
-        if changed_order:
-            self._noop_streak = 0
-            self.drift_factor = self._base_drift_factor
-        else:
-            self._noop_streak += 1
-            if self._noop_streak >= NOOP_STREAK_TO_WIDEN:
-                self.drift_factor = min(self.drift_factor * 2.0, MAX_DRIFT_FACTOR)
-        if self._stats is not None:
-            self._stats.replans += 1
-            if not changed_order:
-                self._stats.noop_replans += 1
-            self._stats.drift_factor = self.drift_factor
-
     def _drifted(self, plan: JoinPlan, hypothetical: bool) -> bool:
         """True when some extent of ``plan``'s snapshot drifted past the band."""
-        factor = self.drift_factor
         for (relation, delta), old in plan.cost_snapshot:
             new = self._cardinality(relation, delta, hypothetical)
             low, high = max(old, 1), max(new, 1)
             if low > high:
                 low, high = high, low
-            if high >= factor * low:
+            if high >= DRIFT_FACTOR * low:
                 return True
         return False
 

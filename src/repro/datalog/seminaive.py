@@ -19,22 +19,28 @@ Rounds are stage-style: facts derived during a round are recorded at its end,
 so the frontier of round ``k+1`` is exactly what round ``k`` produced and the
 round count is deterministic and rule-order independent.
 
-Observer API
-------------
+Assignment consumers
+--------------------
 
-Assignment consumers attach in three interchangeable ways, mirroring the SQL
-driver (:mod:`repro.datalog.sql_seminaive`): the per-call ``on_assignment``
-hook, observers registered on a shared
-:class:`~repro.datalog.context.EvalContext` (``context.add_observer``), and
+Assignments leave a run in two ways, mirroring the SQL driver
+(:mod:`repro.datalog.sql_seminaive`): the per-call ``on_assignment`` hook and
 the returned :class:`~repro.datalog.evaluation.ClosureResult` assignment list
-(suppressed with ``collect_assignments=False``).  Every observer sees every
-*new* assignment exactly once, in derivation-round order.  The in-memory
-engine always enumerates assignments in Python (the derivation itself needs
-them), so unlike the SQL driver there is no install-only fast path — the
-flags only control retention and delivery.  A ``context`` additionally
-supplies the planner, backed by the context's shared structural plan cache so
-several runs (e.g. the four semantics of one ``compare()``) plan each rule
-shape once.
+(suppressed with ``collect_assignments=False``).  Both see every *new*
+assignment exactly once, in derivation-round order.  The in-memory engine
+always enumerates assignments in Python (the derivation itself needs them),
+so unlike the SQL driver there is no install-only fast path — the flags only
+control retention and delivery.  A shared
+:class:`~repro.datalog.context.EvalContext` (``context=``) supplies the
+planner, backed by the context's structural plan cache so several runs (e.g.
+the four semantics of one ``compare()``) plan each rule shape once.
+
+Frontier tokens
+---------------
+
+Every in-memory frontier loop — this closure, insert propagation in
+:mod:`repro.datalog.incremental` and stage-semantics discovery — reads its
+next frontier through :class:`_FrontierTokens`: one storage token per delta
+relation some rule reads, advanced in sorted relation order.
 """
 
 from __future__ import annotations
@@ -57,6 +63,36 @@ from repro.storage.facts import Fact
 
 #: ``relation -> frontier facts`` for one semi-naive round.
 Frontier = Dict[str, Set[Fact]]
+
+
+class _FrontierTokens:
+    """Frontier tokens over the delta relations that ``rules`` read.
+
+    The tokens are taken at construction; each :meth:`advance` returns the
+    delta facts recorded since the previous call (or since construction) and
+    moves every token to "now".  Relations are visited in sorted order, so
+    the frontier's relation order does not depend on rule order.
+    """
+
+    __slots__ = ("_db", "_tokens")
+
+    def __init__(self, db: BaseDatabase, rules: Iterable[Rule]) -> None:
+        self._db = db
+        relations = sorted(
+            {atom.relation for rule in rules for atom in rule.body if atom.is_delta},
+        )
+        self._tokens = {relation: db.delta_token(relation) for relation in relations}
+
+    def advance(self) -> Frontier:
+        """The delta facts recorded since the last call, keyed by relation
+        (relations without new facts are omitted)."""
+        frontier: Frontier = {}
+        for relation, token in self._tokens.items():
+            added = self._db.delta_added_since(relation, token)
+            self._tokens[relation] = self._db.delta_token(relation)
+            if added:
+                frontier[relation] = set(added)
+        return frontier
 
 
 def delta_body_positions(rule: Rule) -> List[int]:
@@ -144,27 +180,14 @@ def semi_naive_closure(
     assignments reachable from the previous round's frontier are enumerated.
     The active extents are never touched (:meth:`BaseDatabase.mark_deleted`
     only records deletions), matching end-semantics style derivation.  See
-    the module docstring for the observer knobs (``on_assignment``,
-    ``context`` observers, ``collect_assignments``).
+    the module docstring for the consumer knobs (``on_assignment``,
+    ``collect_assignments``).
     """
     rules = list(program)
     if planner is None:
         planner = context.planner(db) if context is not None else JoinPlanner(db)
     delta_rules = [rule for rule in rules if any(atom.is_delta for atom in rule.body)]
-    relations = sorted(
-        {atom.relation for rule in delta_rules for atom in rule.body if atom.is_delta},
-    )
-    tokens = {relation: db.delta_token(relation) for relation in relations}
-    # Context candidate observers attach to the storage layer's candidate
-    # iterators for the duration of the run, so subscribers see every probed
-    # fact mid-round (the SQL driver has no Python-side iteration to observe).
-    watching_candidates = (
-        context is not None
-        and context.has_candidate_observers
-        and hasattr(db, "add_candidate_observer")
-    )
-    if watching_candidates:
-        db.add_candidate_observer(context.notify_candidate)
+    tokens = _FrontierTokens(db, delta_rules)
 
     all_assignments: List[Assignment] = []
     seen_signatures: set[tuple] = set()
@@ -179,8 +202,6 @@ def semi_naive_closure(
             all_assignments.append(assignment)
         if on_assignment is not None:
             on_assignment(assignment)
-        if context is not None:
-            context.notify(assignment)
         derived_now.append(assignment.derived)
 
     rounds = 0
@@ -193,39 +214,28 @@ def semi_naive_closure(
                 f"closure did not converge within {max_rounds} rounds",
             )
 
-    try:
-        # Round 1: one full evaluation of every rule (planned joins, no
-        # frontier).
+    # Round 1: one full evaluation of every rule (planned joins, no frontier).
+    enter_round()
+    for rule in rules:
+        for assignment in find_assignments(db, rule, planner=planner):
+            record(assignment)
+    for item in derived_now:
+        db.mark_deleted(item)
+
+    # Rounds 2..: re-enter rules only through the previous round's frontier.
+    # Each round boundary refreshes the planner's cardinality cache so plans
+    # whose extents drifted get re-costed before the round's joins run.
+    while True:
+        frontier = tokens.advance()
+        if not frontier:
+            break
         enter_round()
-        for rule in rules:
-            for assignment in find_assignments(db, rule, planner=planner):
+        planner.begin_round()
+        derived_now = []
+        for rule in delta_rules:
+            for assignment in seeded_assignments(db, rule, frontier, planner):
                 record(assignment)
         for item in derived_now:
             db.mark_deleted(item)
-
-        # Rounds 2..: re-enter rules only through the previous round's
-        # frontier.  Each round boundary refreshes the planner's cardinality
-        # cache so plans whose extents drifted get re-costed before the
-        # round's joins run.
-        while True:
-            frontier: Frontier = {}
-            for relation in relations:
-                added = db.delta_added_since(relation, tokens[relation])
-                tokens[relation] = db.delta_token(relation)
-                if added:
-                    frontier[relation] = set(added)
-            if not frontier:
-                break
-            enter_round()
-            planner.begin_round()
-            derived_now = []
-            for rule in delta_rules:
-                for assignment in seeded_assignments(db, rule, frontier, planner):
-                    record(assignment)
-            for item in derived_now:
-                db.mark_deleted(item)
-    finally:
-        if watching_candidates:
-            db.remove_candidate_observer(context.notify_candidate)
 
     return ClosureResult(all_assignments, rounds, ENGINE_SEMI_NAIVE)

@@ -26,7 +26,7 @@ can evaluate its join **exactly once per round**:
 
 * :attr:`FrontierQuery.install_sql` — fast path: ``INSERT OR IGNORE ...
   SELECT`` over the body join, installing the derived head facts directly
-  inside SQLite.  Used when nothing observes the assignments: the body join
+  inside SQLite.  Used when nothing consumes the assignments: the body join
   runs once and no row crosses into Python;
 * :attr:`FrontierQuery.staged_insert_sql` — staged path, step 1: the same
   body join with every projected column aliased ``s0..sN``, inserted into the
@@ -38,10 +38,11 @@ can evaluate its join **exactly once per round**:
   per-round cycle is ``DELETE`` (:attr:`~FrontierQuery.stage_delete_sql`) then
   ``INSERT ... SELECT``;
 * :attr:`FrontierQuery.staged_install_sql` — staged path, step 2: the install
-  re-expressed over the variant's staged rows, so observers (assignment
-  collection, provenance builders, stage discovery) and the install both read
-  the single join's output instead of re-running it.  Observers read the rows
-  back via :attr:`~FrontierQuery.staged_rows_sql`.
+  re-expressed over the variant's staged rows, so the assignment consumers
+  (assignment collection, the ``on_assignment`` hook feeding e.g. provenance
+  builders) and the install both read the single join's output instead of
+  re-running it.  The consumers read the rows back via
+  :attr:`~FrontierQuery.staged_rows_sql`.
 
 Each statement embeds a ``/* repro:<class> */`` tag comment
 (:data:`TAG_ASSIGN_SELECT` ...), which the query-counter hooks of
@@ -255,9 +256,10 @@ class FrontierQuery:
     sql:
         ``SELECT`` enumerating the variant's assignments (per-atom value
         columns + ``tid``, in body order — same row shape as
-        :class:`CompiledRule`).  The semi-naive driver itself never runs this
-        (it reads the staged rows instead); it remains the re-SELECT oracle
-        for the staging regression tests and external callers.
+        :class:`CompiledRule`).  The closure driver never runs this (it
+        reads the staged rows instead); stage-semantics and maintenance
+        discovery stream it, and the staging regression tests use it as the
+        re-SELECT oracle.
     install_sql:
         Fast path: ``INSERT OR IGNORE INTO f_H ... SELECT DISTINCT <head>,
         NULL, :gen`` over the body join, installing the derived head facts

@@ -18,24 +18,23 @@ simply the half-open generation window ``(lo, hi]``:
   SQLite, and the install statements' change counts double as the emptiness
   test for the next round's frontier.
 
-Single-pass rounds and the observer API
----------------------------------------
+Single-pass rounds
+------------------
 
 Each variant's body join runs **exactly once per round**.  Which of the two
-execution forms runs depends on whether anything observes the assignments:
+execution forms runs depends on whether anything consumes the assignments:
 
-* **fast path** — no ``on_assignment`` hook, ``collect_assignments=False``
-  and no :class:`~repro.datalog.context.EvalContext` observer: the driver
-  runs only the variant's :attr:`~repro.datalog.sql_compiler.FrontierQuery.install_sql`.
-  One join, zero rows crossing into Python;
-* **staged path** — somebody observes: the driver inserts the join's rows
-  into the **persistent keyed stage table** of the variant's width
-  (:func:`~repro.storage.sqlite_backend.stage_table_name`, created at most
-  once per connection by ``SQLiteDatabase.ensure_stage_table``), keyed by the
-  variant's ``variant_id``.  The per-round cycle is ``DELETE`` the variant's
-  key, ``INSERT ... SELECT`` the join, replay the staged rows to every
-  observer (assignment collection, the ``on_assignment`` hook, context
-  observers such as provenance builders) in bounded
+* **fast path** — no ``on_assignment`` hook and ``collect_assignments=False``:
+  the driver runs only the variant's
+  :attr:`~repro.datalog.sql_compiler.FrontierQuery.install_sql`.  One join,
+  zero rows crossing into Python;
+* **staged path** — the hook or the collection needs the assignments: the
+  driver inserts the join's rows into the **persistent keyed stage table** of
+  the variant's width (:func:`~repro.storage.sqlite_backend.stage_table_name`,
+  created at most once per connection by ``SQLiteDatabase.ensure_stage_table``),
+  keyed by the variant's ``variant_id``.  The per-round cycle is ``DELETE`` the
+  variant's key, ``INSERT ... SELECT`` the join, read the staged rows back for
+  the assignment collection and the ``on_assignment`` hook in bounded
   :data:`STAGE_REPLAY_CHUNK`-row batches (:func:`staged_row_batches` — very
   large staged row sets never cross into Python as one round trip), and
   install the head facts from the *same* staged rows via
@@ -43,23 +42,18 @@ execution forms runs depends on whether anything observes the assignments:
   **steady-state rounds issue zero DDL** (no ``DROP TABLE``/``CREATE TEMP
   TABLE`` after the first staging of each width).
 
-The stage-semantics discovery SELECTs (:func:`seeded_assignments_sql` /
-:func:`full_assignments_sql`) route through the same keyed staging path under
-the same gate as the driver: when the shared
-:class:`~repro.datalog.context.EvalContext` carries assignment observers,
-each discovery join is staged once and its rows feed both the
-live-assignment index and the observers (delivered once per enumeration);
-with no observers — or no context — a plain streaming SELECT is already
-single-pass, so nothing is materialised (the plain joins are counted in
-``stats.assignment_selects`` when a context is present).
+The discovery SELECTs of stage semantics and maintenance
+(:func:`seeded_assignments_sql` / :func:`full_assignments_sql`) have a single
+consumer, so they stream a plain single-pass SELECT and materialise nothing
+(the joins are counted in ``stats.assignment_selects`` when a context is
+present).
 
-Observers are registered either per call (``on_assignment=``) or on a shared
-:class:`~repro.datalog.context.EvalContext` (``context.add_observer``); the
-context also supplies compiled variants cached across runs (one
-``RepairEngine.compare()`` compiles each rule once for all four semantics) and
-the :class:`~repro.datalog.context.QueryStats` counters the staging tests
-assert on.  Only the *new* assignments of each round cross the boundary — the
-naive SQL loop re-fetches every assignment ever derivable at every round.
+A shared :class:`~repro.datalog.context.EvalContext` supplies compiled
+variants cached across runs (one ``RepairEngine.compare()`` compiles each rule
+once for all four semantics) and the
+:class:`~repro.datalog.context.QueryStats` counters the staging tests assert
+on.  Only the *new* assignments of each round cross the boundary — the naive
+SQL loop re-fetches every assignment ever derivable at every round.
 """
 
 from __future__ import annotations
@@ -79,7 +73,7 @@ from repro.exceptions import EvaluationError
 from repro.storage.sqlite_backend import SQLiteDatabase
 
 
-#: Staged rows are replayed to observers in bounded chunks of this many rows
+#: Staged rows are read back into Python in bounded chunks of this many rows
 #: (``cursor.fetchmany``) instead of one unbounded fetch: a very large staged
 #: row set — a deep cascade can stage hundreds of thousands of rows in one
 #: round — never materialises as a single Python list, and each chunk is
@@ -94,51 +88,20 @@ def _variants(rule: Rule, context: EvalContext | None):
     return compile_frontier_rule(rule)
 
 
-def staged_row_batches(cursor, context: EvalContext | None = None):
+def staged_row_batches(cursor, context: EvalContext):
     """Yield the cursor's rows in :data:`STAGE_REPLAY_CHUNK`-bounded batches.
 
-    The batched observer replay of the staged paths: row order is exactly the
-    cursor's order (each batch is a consecutive slice), so observer delivery
+    The batched replay of the staged path: row order is exactly the cursor's
+    order (each batch is a consecutive slice), so ``on_assignment`` delivery
     order is unchanged — only the peak Python-side materialisation is bounded.
-    Every non-empty batch bumps ``stats.replay_batches`` when a context is
-    given.
+    Every non-empty batch bumps ``stats.replay_batches``.
     """
     while True:
         batch = cursor.fetchmany(STAGE_REPLAY_CHUNK)
         if not batch:
             return
-        if context is not None:
-            context.stats.replay_batches += 1
+        context.stats.replay_batches += 1
         yield batch
-
-
-def stage_variant_rows(
-    db: SQLiteDatabase,
-    variant: FrontierQuery,
-    window: Dict[str, int],
-    context: EvalContext,
-):
-    """Run one variant's body join into its keyed stage slot; return the rows.
-
-    The shared staging primitive of the driver and the stage-semantics
-    discovery path: ensure the width's persistent stage table exists (DDL at
-    most once per connection, counted in ``stats.stage_ddl``), clear the
-    variant's key, insert the join's rows under it, and return the staged-row
-    read-back cursor (rows in insertion, i.e. join output, order).  Exactly
-    one base-table join is executed (``stats.staged_selects``); everything
-    else is a keyed scan of the stage table.  Callers delete the variant's
-    key again once they are done with the rows, so a finished run leaves the
-    stage tables empty (the pre-insert delete here only guards abandoned
-    iterations).
-    """
-    if db.ensure_stage_table(variant.stage_width):
-        context.stats.stage_ddl += 1
-    if variant.wcoj_index_sql:
-        db.ensure_wcoj_indexes(variant.wcoj_index_sql)
-    db.execute(variant.stage_delete_sql, variant.bind())
-    db.execute(variant.staged_insert_sql, variant.bind(**window))
-    context.stats.staged_selects += 1
-    return db.execute(variant.staged_rows_sql, variant.bind())
 
 
 def _discovery_assignments(
@@ -148,33 +111,18 @@ def _discovery_assignments(
     window: Dict[str, int],
     context: EvalContext | None,
 ) -> Iterator[Assignment]:
-    """Enumerate one variant's discovery assignments, staged or plain.
+    """Stream one variant's discovery assignments from a plain SELECT.
 
     The shared enumeration core of :func:`seeded_assignments_sql` and
-    :func:`full_assignments_sql`: when the context carries assignment
-    observers — the same gate the closure driver applies — the join is staged
-    through the keyed stage table and each assignment is delivered to the
-    observers before being yielded (and the variant's key is cleared once the
-    rows are consumed).  Without observers a plain streaming SELECT is
-    already single-pass, counted in ``stats.assignment_selects`` under a
-    context.
+    :func:`full_assignments_sql`; the join is counted in
+    ``stats.assignment_selects`` under a context.
     """
-    if context is not None and context.has_observers:
-        rows = stage_variant_rows(db, variant, window, context)
-        for batch in staged_row_batches(rows, context):
-            for assignment in assignments_from_rows(
-                rule, variant.atom_arities, batch,
-            ):
-                context.notify(assignment)
-                yield assignment
-        db.execute(variant.stage_delete_sql, variant.bind())
-    else:
-        if variant.wcoj_index_sql:
-            db.ensure_wcoj_indexes(variant.wcoj_index_sql)
-        rows = db.execute(variant.sql, variant.bind(**window))
-        if context is not None:
-            context.stats.assignment_selects += 1
-        yield from assignments_from_rows(rule, variant.atom_arities, rows)
+    if variant.wcoj_index_sql:
+        db.ensure_wcoj_indexes(variant.wcoj_index_sql)
+    rows = db.execute(variant.sql, variant.bind(**window))
+    if context is not None:
+        context.stats.assignment_selects += 1
+    yield from assignments_from_rows(rule, variant.atom_arities, rows)
 
 
 def seeded_assignments_sql(
@@ -190,8 +138,7 @@ def seeded_assignments_sql(
     frontier expressed as a generation window; each qualifying assignment is
     produced exactly once (rank-stratified variants partition the space by the
     first delta atom falling inside the window).  This is the stage-semantics
-    discovery path: it only enumerates (no install), staged or plain per
-    :func:`_discovery_assignments`.
+    and maintenance discovery path: it only enumerates (no install).
     """
     _, seeded = _variants(rule, context)
     window = {"lo": lo, "hi": hi}
@@ -207,8 +154,7 @@ def full_assignments_sql(
 ) -> Iterator[Assignment]:
     """All assignments of ``rule`` with delta atoms bounded by ``gen <= hi``.
 
-    Staged or plain per :func:`_discovery_assignments`, exactly like
-    :func:`seeded_assignments_sql`.
+    A plain streaming SELECT, exactly like :func:`seeded_assignments_sql`.
     """
     full, _ = _variants(rule, context)
     yield from _discovery_assignments(db, rule, full, {"hi": hi}, context)
@@ -231,8 +177,8 @@ def sql_semi_naive_closure(
     evaluated once per round (see module docstring).  With
     ``collect_assignments=False`` the returned
     :class:`~repro.datalog.evaluation.ClosureResult` carries an empty
-    assignment list; combined with no observers this enables the install-only
-    fast path.
+    assignment list; combined with no ``on_assignment`` hook this enables the
+    install-only fast path.
     """
     ctx = context if context is not None else EvalContext()
     rules = list(program)
@@ -245,7 +191,7 @@ def sql_semi_naive_closure(
         rule.head.relation: delta_copy_sql(rule.head.relation, rule.head.arity)
         for rule in rules
     }
-    observing = (collect_assignments or on_assignment is not None or ctx.has_observers)
+    observing = collect_assignments or on_assignment is not None
 
     all_assignments: List[Assignment] = []
     seen_signatures: set[tuple] = set()
@@ -259,13 +205,23 @@ def sql_semi_naive_closure(
             all_assignments.append(assignment)
         if on_assignment is not None:
             on_assignment(assignment)
-        ctx.notify(assignment)
 
     def run_variant(rule: Rule, variant, window: Dict[str, int], gen: int,
                     new_by_relation: Dict[str, int],) -> None:
-        """Evaluate one variant's join once, feeding observers and the install."""
+        """Evaluate one variant's join once, feeding the consumers and the
+        install."""
+        if variant.wcoj_index_sql:
+            db.ensure_wcoj_indexes(variant.wcoj_index_sql)
         if observing:
-            rows = stage_variant_rows(db, variant, window, ctx)
+            # Stage the join's rows under the variant's key (DDL at most once
+            # per width and connection), then read them back for the
+            # consumers; the install below scans the same staged rows.
+            if db.ensure_stage_table(variant.stage_width):
+                ctx.stats.stage_ddl += 1
+            db.execute(variant.stage_delete_sql, variant.bind())
+            db.execute(variant.staged_insert_sql, variant.bind(**window))
+            ctx.stats.staged_selects += 1
+            rows = db.execute(variant.staged_rows_sql, variant.bind())
             for batch in staged_row_batches(rows, ctx):
                 for assignment in assignments_from_rows(
                     rule, variant.atom_arities, batch,
@@ -277,8 +233,6 @@ def sql_semi_naive_closure(
             # stage tables empty (they persist for the connection's lifetime).
             db.execute(variant.stage_delete_sql, variant.bind())
         else:
-            if variant.wcoj_index_sql:
-                db.ensure_wcoj_indexes(variant.wcoj_index_sql)
             cursor = db.execute(variant.install_sql, variant.bind(gen=gen, **window))
             ctx.stats.direct_installs += 1
         if cursor.rowcount > 0:

@@ -22,17 +22,13 @@ Integration contract
 * The drop-in entry points return plain :class:`Assignment` lists built by the
   same ``_finalize`` machinery as the binary path — body order, comparison
   checking and duplicate semantics are identical, so the semi-naive
-  frontier/record pipeline (exactly-once observer delivery included) is
-  unchanged.
+  frontier/record pipeline (exactly-once ``on_assignment`` delivery included)
+  is unchanged.
 * Seeded enumeration (:func:`wcoj_seeded_assignments`) mirrors
   :func:`~repro.datalog.seminaive.seeded_assignments`: the seed fact is
   unified first and ``excluded`` rejects assignments whose pre-frontier delta
   atoms matched a frontier fact, preserving the rank-stratified
   exactly-once enumeration.
-* Candidate observers see every fact the *candidate iterators* yield; the
-  trie walk bypasses those iterators, so the engines only route here when
-  ``db.has_candidate_observers`` is False (checked by the callers via
-  :func:`wcoj_eligible`).
 * Intersections are materialised in sorted value order (type name + repr — a
   deterministic total order even over mixed-type columns), making the
   enumeration order reproducible across runs.
@@ -63,16 +59,10 @@ def wcoj_eligible(db, plan: JoinPlan, hypothetical: bool = False) -> bool:
     """True when ``plan`` should run through the generic-join driver.
 
     Requires a wcoj-classified plan, the in-memory engine (tries live on
-    :class:`~repro.storage.indexes.RelationIndex`), concrete extents (no
-    hypothetical active ∪ delta union) and no registered candidate observers
-    (they must see every probed fact, which only the binary path delivers).
+    :class:`~repro.storage.indexes.RelationIndex`) and concrete extents (no
+    hypothetical active ∪ delta union).
     """
-    return (
-        plan.kind == PLAN_WCOJ
-        and not hypothetical
-        and isinstance(db, Database)
-        and not db.has_candidate_observers
-    )
+    return plan.kind == PLAN_WCOJ and not hypothetical and isinstance(db, Database)
 
 
 def _value_sort_key(value: Any) -> tuple[str, str]:

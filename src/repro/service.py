@@ -105,15 +105,11 @@ class RepairService:
         Engine for the initial load (``"auto"``/``"naive"``/``"semi-naive"``);
         maintenance itself always runs the incremental drivers.
     context:
-        Optional shared :class:`~repro.datalog.context.EvalContext`; its
-        observers see every assignment the service ever records, exactly
-        once — during the load and during later batches.  Plans, compiled
-        variants and :class:`~repro.datalog.context.QueryStats` are shared
-        with the maintenance passes.  On a warm restart the persisted
-        assignments are **replayed** to the observers in their original
-        record order, so a fresh process keeps the exactly-once contract
-        (an observer surviving from the writing process would see them
-        twice — reuse the service, not just the database, in-process).
+        Optional shared :class:`~repro.datalog.context.EvalContext`: plans,
+        compiled variants and :class:`~repro.datalog.context.QueryStats` are
+        shared between the load and the maintenance passes.  Every recorded
+        assignment lands in the service's store (:meth:`assignments`); a
+        warm restart restores it in the writing process's record order.
     counting:
         Enable the counting-based deletion fast path (default True): delete
         batches fully covered by base-only support counts skip the DRed
@@ -137,18 +133,13 @@ class RepairService:
         self._db = db
         self._rules = list(program)
         self._context = context if context is not None else EvalContext()
-        # Maintenance passes run under an observer-free twin of the context:
-        # it shares stats and plan caches, but assignment delivery stays in
-        # _record so the SQLite discovery path cannot double-notify.
-        self._qctx = self._context.query_context()
-        self._planner = self._qctx.planner(db)
+        self._planner = self._context.planner(db)
         self._store: AssignmentStore = make_assignment_store(db, self._rules)
         self._max_rounds = max_rounds
         self._counting = counting
         self._poisoned: str | None = None
         if db.count_delta() != 0:
-            restored = self._store.load_persisted()
-            if restored is None:
+            if not self._store.load_persisted():
                 raise EvaluationError(
                     "RepairService requires an empty delta extent to load, or "
                     "a cleanly flushed persisted assignment store to "
@@ -157,8 +148,6 @@ class RepairService:
                     "its last batch (a dirty or mismatched store means the "
                     "closure must be re-derived)",
                 )
-            for assignment in restored:
-                self._context.notify(assignment)
             self._load_rounds = 0
             self._load_engine = ENGINE_WARM
             return
@@ -166,23 +155,15 @@ class RepairService:
         result = run_closure(
             db,
             self._rules,
-            on_assignment=self._store_and_notify,
+            on_assignment=self._store.add,
             max_rounds=max_rounds,
             engine=engine,
             collect_assignments=False,
-            context=self._qctx,
+            context=self._context,
         )
         self._store.flush()
         self._load_rounds = result.rounds
         self._load_engine = result.engine
-
-    # -- recording ---------------------------------------------------------
-
-    def _store_and_notify(self, assignment: Assignment) -> bool:
-        if not self._store.add(assignment):
-            return False
-        self._context.notify(assignment)
-        return True
 
     # -- maintenance -------------------------------------------------------
 
@@ -266,8 +247,8 @@ class RepairService:
                     self._db,
                     self._rules,
                     self._planner,
-                    self._qctx,
-                    self._store_and_notify,
+                    self._context,
+                    self._store.add,
                     added,
                     max_rounds=self._max_rounds,
                 )

@@ -236,9 +236,6 @@ class Database(BaseDatabase):
             name: RelationIndex() for name in schema.names()
         }
         self._tid_counter = itertools.count(1)
-        #: ``observer -> [(index, wrapper), ...]`` for candidate-observer
-        #: removal (see :meth:`add_candidate_observer`).
-        self._candidate_observers: Dict[Any, list] = {}
 
     # -- construction helpers -----------------------------------------------
 
@@ -320,42 +317,6 @@ class Database(BaseDatabase):
         for item in delta.candidates(bindings):
             if item not in active:
                 yield item
-
-    # -- candidate observers ------------------------------------------------------
-
-    def add_candidate_observer(self, observer) -> None:
-        """Subscribe ``observer(relation, fact)`` to every candidate iterated.
-
-        The storage end of the :class:`~repro.datalog.context.EvalContext`
-        candidate-observer API: the observer fires for each fact any of this
-        database's per-relation candidate iterators yields (active and delta
-        extents alike) while it stays registered, so a subscriber sees probes
-        mid-round / mid-cascade.  Clones never inherit observers.
-        """
-        wrappers = []
-        for store in (self._active, self._delta):
-            for name, index in store.items():
-                def wrapper(item: Fact, relation: str = name) -> None:
-                    observer(relation, item)
-
-                index.add_observer(wrapper)
-                wrappers.append((index, wrapper))
-        self._candidate_observers.setdefault(observer, []).extend(wrappers)
-
-    def remove_candidate_observer(self, observer) -> None:
-        """Unsubscribe a previously added candidate observer (no-op when absent)."""
-        for index, wrapper in self._candidate_observers.pop(observer, ()):
-            index.remove_observer(wrapper)
-
-    @property
-    def has_candidate_observers(self) -> bool:
-        """True while any candidate observer is registered.
-
-        The wcoj driver walks tries instead of candidate iterators, so the
-        engines fall back to the binary path whenever this is set — candidate
-        observers must see every probed fact.
-        """
-        return bool(self._candidate_observers)
 
     def relation_index(self, relation: str, delta: bool = False) -> RelationIndex:
         """The :class:`RelationIndex` backing one extent (trie access point)."""

@@ -1,30 +1,23 @@
 """Tests for the adaptive evaluation layer (PR 4).
 
-Four behaviours introduced together:
+Three behaviours:
 
 * **keyed stage tables** — the SQLite staged path persists one temp table per
   variant width (``_repro_stage_wN`` with a ``variant_id`` key) instead of
   dropping and recreating ``_repro_stage`` per variant execution, so
   steady-state rounds issue zero DDL (no ``DROP TABLE``/``CREATE TEMP
-  TABLE``);
-* **staged stage-discovery** — with a shared context, stage-semantics
-  discovery joins stage through the same keyed tables (covered in
-  ``tests/test_sql_staging.py``; the matrix check here exercises it through
-  :class:`~repro.core.repair.RepairEngine`);
+  TABLE``), and stage-semantics discovery never touches them;
 * **round-boundary plan re-costing** — the in-memory planner rebuilds a
   cached join plan when the extents drift past the
   :data:`~repro.datalog.planner.DRIFT_FACTOR` band around the plan's cost
   snapshot, recording each rebuild in ``QueryStats.replans``;
-* **candidate observers** — the :class:`~repro.datalog.context.EvalContext`
-  observer API reaches the in-memory candidate iterators, so trigger probes
-  deliver mid-cascade instead of post-run.
+* **shared-context repairs** — one :class:`~repro.core.repair.RepairEngine`
+  context reused across all four semantics, twice, still matches the naive
+  oracle on both backends.
 """
 
 from __future__ import annotations
 
-from typing import List
-
-from repro.baselines.trigger_engine import TriggerEngine, seed_deletions
 from repro.core.repair import RepairEngine
 from repro.core.semantics import Semantics
 from repro.datalog import DeltaProgram, EvalContext, run_closure
@@ -32,7 +25,6 @@ from repro.datalog.parser import parse_rule
 from repro.datalog.sql_compiler import compile_frontier_rule
 from repro.storage.database import Database
 from repro.storage.facts import Fact, fact
-from repro.storage.indexes import RelationIndex
 from repro.storage.schema import RelationSchema, Schema
 from repro.storage.sqlite_backend import SQLiteDatabase, stage_table_name
 
@@ -133,7 +125,7 @@ class TestKeyedStageTables:
                 assert variant.bind()["variant"] == variant.variant_id
                 assert "variant_id = :variant" in variant.staged_install_sql
 
-    def test_stage_tables_left_empty_after_runs(self):
+    def test_stage_tables_left_empty_after_runs(self, monkeypatch):
         # A finished run must not leave rows behind in the persistent tables
         # (they live for the whole connection, in memory).
         db, program = cascade_fixture()
@@ -149,29 +141,31 @@ class TestKeyedStageTables:
                 f"SELECT COUNT(*) FROM {stage_table_name(width)}",
             ).fetchone()
             assert rows[0] == 0, width
-        # Staged discovery (observer-bearing context) cleans up after itself
-        # too; it runs on the clone stage semantics returns as the repaired
-        # database.
+        # Stage-semantics discovery streams plain SELECTs: the clone it runs
+        # on (returned as the repaired database) never issues a statement
+        # against a stage table.
         from repro.core.semantics import stage_semantics
 
-        ctx.add_observer(lambda assignment: None)
-        result = stage_semantics(db, program, context=ctx)
+        statements: list = []
+        clone = SQLiteDatabase.clone
+
+        def hooked_clone(self):
+            copy = clone(self)
+            copy.add_statement_hook(statements.append)
+            return copy
+
+        monkeypatch.setattr(SQLiteDatabase, "clone", hooked_clone)
+        stage_ctx = EvalContext()
+        result = stage_semantics(db, program, context=stage_ctx)
         assert result.deleted
-        repaired = result.repaired
-        staged_tables = 0
-        for width in widths:
-            exists = repaired.execute(
-                "SELECT name FROM sqlite_temp_master WHERE name = ?",
-                (stage_table_name(width),),
-            ).fetchone()
-            if exists is None:
-                continue
-            staged_tables += 1
-            rows = repaired.execute(
-                f"SELECT COUNT(*) FROM {stage_table_name(width)}",
-            ).fetchone()
-            assert rows[0] == 0, width
-        assert staged_tables > 0
+        assert stage_ctx.stats.assignment_selects > 0
+        assert statements
+        assert not [
+            sql
+            for sql in statements
+            if any(stage_table_name(width) in sql for width in widths)
+        ]
+        assert stage_ctx.stats.staged_selects == stage_ctx.stats.stage_ddl == 0
 
     def test_keyed_staging_matches_fast_path_fixpoint(self):
         db, program = cascade_fixture()
@@ -258,185 +252,6 @@ class TestPlanRecosting:
         assert {a.signature() for a in semi.assignments} == {
             a.signature() for a in naive.assignments
         }
-
-
-class TestAdaptiveDriftBand:
-    """The re-costing band widens on no-op replans, resets on effective ones."""
-
-    def _rule(self):
-        return parse_rule("delta R(x) :- R(x), S(x).")
-
-    def _db(self, r_count: int, s_count: int) -> Database:
-        schema = Schema.from_arities({"R": 1, "S": 1})
-        return Database.from_dicts(
-            schema,
-            {"R": [(i,) for i in range(r_count)], "S": [(i,) for i in range(s_count)]},
-        )
-
-    def test_consecutive_noop_replans_widen_band(self):
-        from repro.datalog.planner import DRIFT_FACTOR
-
-        # S stays far larger than R, so growing R past the band re-costs the
-        # plan but never changes the order: pure no-op replans.
-        db = self._db(2, 100_000)
-        ctx = EvalContext()
-        planner = ctx.planner(db)
-        rule = self._rule()
-        assert planner.plan(rule).order == (0, 1)
-        assert planner.drift_factor == DRIFT_FACTOR
-        sizes = [10, 50, 250, 1250]
-        widened = []
-        for size in sizes:
-            for value in range(size * 10, size * 11):
-                db.insert(Fact("R", (value,)))
-            planner.begin_round()
-            planner.plan(rule)
-            widened.append(planner.drift_factor)
-        assert ctx.stats.noop_replans >= 2
-        assert ctx.stats.replans >= ctx.stats.noop_replans
-        # The second consecutive no-op doubles the band, and the observed
-        # band is exposed through the context's stats.
-        assert planner.drift_factor > DRIFT_FACTOR
-        assert ctx.stats.drift_factor == planner.drift_factor
-        assert widened == sorted(widened)
-
-    def test_widened_band_suppresses_borderline_replans(self):
-        db = self._db(2, 100_000)
-        ctx = EvalContext()
-        planner = ctx.planner(db)
-        rule = self._rule()
-        planner.plan(rule)
-        # Two forced no-op replans widen the band to 8x.
-        for size in (30, 400):
-            for value in range(size * 100, size * 100 + size):
-                db.insert(Fact("R", (value,)))
-            planner.begin_round()
-            planner.plan(rule)
-        assert ctx.stats.noop_replans == 2
-        assert planner.drift_factor == 8.0
-        replans_before = ctx.stats.replans
-        # A 5x drift (inside the widened band, outside the base 4x band)
-        # no longer triggers a rebuild.
-        for value in range(1_000_000, 1_001_300):
-            db.insert(Fact("R", (value,)))
-        planner.begin_round()
-        planner.plan(rule)
-        assert ctx.stats.replans == replans_before
-
-    def test_effective_replan_resets_band(self):
-        from repro.datalog.planner import DRIFT_FACTOR
-
-        db = self._db(2, 3_000)
-        ctx = EvalContext()
-        planner = ctx.planner(db)
-        rule = self._rule()
-        assert planner.plan(rule).order == (0, 1)
-        # Two no-op replans widen the band...
-        for size in (20, 150):
-            for value in range(size * 1000, size * 1000 + size):
-                db.insert(Fact("R", (value,)))
-            planner.begin_round()
-            planner.plan(rule)
-        assert planner.drift_factor > DRIFT_FACTOR
-        # ...then R overtakes S and the rebuild flips the order: reset.
-        for value in range(5_000_000, 5_060_000):
-            db.insert(Fact("R", (value,)))
-        planner.begin_round()
-        assert planner.plan(rule).order == (1, 0)
-        assert planner.drift_factor == DRIFT_FACTOR
-        assert ctx.stats.drift_factor == DRIFT_FACTOR
-        assert ctx.stats.replans == ctx.stats.noop_replans + 1
-
-    def test_band_capped_at_maximum(self):
-        from repro.datalog.planner import MAX_DRIFT_FACTOR
-
-        db = self._db(1, 1)
-        ctx = EvalContext()
-        planner = ctx.planner(db)
-        planner.drift_factor = MAX_DRIFT_FACTOR
-        planner._noop_streak = 5
-        planner._record_replan_outcome(changed_order=False)
-        assert planner.drift_factor == MAX_DRIFT_FACTOR
-        assert ctx.stats.drift_factor == MAX_DRIFT_FACTOR
-
-
-class TestCandidateObservers:
-    def test_relation_index_notifies_and_copy_drops_observers(self):
-        index = RelationIndex([Fact("R", (1,)), Fact("R", (2,))])
-        seen: List[Fact] = []
-        index.add_observer(seen.append)
-        assert set(index.candidates({})) == {Fact("R", (1,)), Fact("R", (2,))}
-        assert sorted(f.values[0] for f in seen) == [1, 2]
-        # Indexed lookups notify too.
-        seen.clear()
-        list(index.candidates({0: 1}))
-        assert seen == [Fact("R", (1,))]
-        # copy() starts clean; remove_observer silences the original.
-        clone = index.copy()
-        seen.clear()
-        list(clone.candidates({}))
-        assert seen == []
-        index.remove_observer(seen.append)
-        list(index.candidates({}))
-        assert seen == []
-
-    def test_closure_candidate_observer_sees_probes_and_detaches(self):
-        schema = Schema.from_arities({"R": 1, "S": 1})
-        db = Database.from_dicts(schema, {"R": [(1,), (2,)], "S": [(1,)]})
-        program = DeltaProgram.from_text(
-            """
-            delta R(x) :- R(x), S(x).
-            delta S(x) :- S(x), delta R(x).
-            """,
-        )
-        ctx = EvalContext()
-        probes: List[tuple] = []
-        ctx.add_candidate_observer(
-            lambda relation, item: probes.append((relation, item))
-        )
-        result = run_closure(db, program, engine="semi-naive", context=ctx)
-        assert result.assignments
-        assert probes
-        assert {relation for relation, _ in probes} <= {"R", "S"}
-        # The bridge detaches at closure end: later iteration is silent.
-        probes.clear()
-        list(db.candidates("R", {}))
-        assert probes == []
-
-    def test_trigger_probes_deliver_mid_cascade(self):
-        schema = Schema.from_arities({"Author": 2, "Writes": 2, "Publication": 2})
-        db = Database.from_dicts(
-            schema,
-            {
-                "Author": [(1, 10), (2, 20)],
-                "Writes": [(1, 10), (1, 11), (2, 11)],
-                "Publication": [(10, 100), (11, 110)],
-            },
-        )
-        program = DeltaProgram.from_text(
-            """
-            delta Author(a, n) :- Author(a, n), a = 1.
-            delta Writes(a, p) :- Writes(a, p), delta Author(a, n).
-            delta Publication(p, t) :- Publication(p, t), delta Writes(a, p).
-            """,
-        )
-        ctx = EvalContext()
-        assignments: List = []
-        probes: List[tuple] = []
-        ctx.add_observer(assignments.append)
-        ctx.add_candidate_observer(lambda relation, item: probes.append(relation))
-        engine = TriggerEngine.from_program(program)
-        run = engine.run(db, seed_deletions(db, program), context=ctx)
-        # Every cascaded deletion (everything after the seed) was announced
-        # through the assignment observers, in cascade order.
-        assert [a.derived for a in assignments] == list(run.deletion_order[1:])
-        # Candidate observers saw the probe joins iterate over the condition
-        # relations of *later* cascade stages, i.e. they fired mid-cascade.
-        assert "Publication" in probes and "Writes" in probes
-        # The original database never had observers attached (run() clones).
-        probes.clear()
-        list(db.candidates("Writes", {}))
-        assert probes == []
 
 
 class TestAdaptiveMatrixStaysGreen:

@@ -7,8 +7,8 @@ from-scratch fixpoint on the resulting base instance, on both backends.
 Alongside the randomized differential, targeted tests pin the DRed
 over-delete / re-derive behaviour (cascade retraction, rescue through an
 alternate derivation, re-insertion through a fresh frontier entry), the
-maintenance counters, the point queries, and the exactly-once observer
-stream across load + batches.
+maintenance counters, the point queries, and the exactly-once assignment
+store across load + batches.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import random
 
 import pytest
 
-from repro.datalog.context import EvalContext
 from repro.datalog.delta import DeltaProgram
 from repro.datalog.evaluation import run_closure
 from repro.exceptions import EvaluationError
@@ -142,12 +141,12 @@ class TestRandomizedDifferential:
 
 @pytest.mark.parametrize("backend", ["memory", "sqlite"])
 class TestMaintenanceBehaviour:
-    def make_service(self, backend, tmp_path, facts=None, context=None):
+    def make_service(self, backend, tmp_path, facts=None):
         schema, program = cascade_schema(), cascade_program()
         db = make_db(
             backend, schema, cascade_facts() if facts is None else facts, tmp_path, "svc",
         )
-        return RepairService(db, program, context=context), schema, program
+        return RepairService(db, program), schema, program
 
     def test_load_requires_empty_delta(self, backend, tmp_path):
         schema, program = cascade_schema(), cascade_program()
@@ -238,22 +237,20 @@ class TestMaintenanceBehaviour:
         assert service.is_derivable(fact("N", 1))
 
     def test_observers_see_every_assignment_exactly_once(self, backend, tmp_path):
-        context = EvalContext()
-        delivered = []
-        context.add_observer(delivered.append)
-        service, _, _ = self.make_service(backend, tmp_path, context=context)
-        load_count = len(delivered)
-        assert load_count == len(service.assignments())
-        load_sigs = [a.signature() for a in delivered]
-        assert len(set(load_sigs)) == len(load_sigs)
+        # The assignment store is the service's one assignment consumer.
+        service, _, _ = self.make_service(backend, tmp_path)
+        load_sigs = [a.signature() for a in service.assignments()]
+        assert load_sigs and len(set(load_sigs)) == len(load_sigs)
         service.apply(deletes=[fact("E", 0, 1)])
-        assert len(delivered) == load_count  # deletions never deliver
+        # Deletions only remove; survivors keep their record order.
+        kept = [a.signature() for a in service.assignments()]
+        assert kept == [sig for sig in load_sigs if sig in set(kept)]
+        assert len(kept) < len(load_sigs)
         service.apply(inserts=[fact("E", 0, 1)])
-        # Re-derived assignments left the store on deletion, so the
-        # re-insertion batch delivers each of them exactly once more.
-        batch_sigs = [a.signature() for a in delivered[load_count:]]
-        assert batch_sigs and len(set(batch_sigs)) == len(batch_sigs)
-        assert set(batch_sigs) <= set(load_sigs)
-        # The closure is restored: live assignments equal the original load.
-        live = {a.signature() for a in service.assignments()}
-        assert live == set(load_sigs)
+        # The re-insertion batch records each removed assignment exactly once
+        # more, after the survivors; the closure is restored.
+        live = [a.signature() for a in service.assignments()]
+        assert live[: len(kept)] == kept
+        recorded = live[len(kept):]
+        assert len(set(recorded)) == len(recorded)
+        assert set(recorded) == set(load_sigs) - set(kept)

@@ -14,7 +14,6 @@ import random
 
 import pytest
 
-from repro.datalog.context import EvalContext
 from repro.datalog.delta import DeltaProgram
 from repro.datalog.evaluation import run_closure
 from repro.datalog.incremental import (
@@ -145,9 +144,9 @@ def assert_matches_scratch(service, schema, program, backend, tmp_path, tag):
 
 
 class TestWarmRestart:
-    def reopen(self, path, schema, program, context=None, **kwargs):
+    def reopen(self, path, schema, program, **kwargs):
         db = SQLiteDatabase(schema, path=path)
-        return db, RepairService(db, program, context=context, **kwargs)
+        return db, RepairService(db, program, **kwargs)
 
     def test_store_backend_selection(self, tmp_path):
         schema = cascade_schema()
@@ -195,33 +194,29 @@ class TestWarmRestart:
         db2.close()
 
     def test_warm_restart_replays_observers_in_record_order(self, tmp_path):
+        """The assignment store is the service's one assignment consumer: a
+        warm restart replays the persisted rows into it in the writer's
+        record order, and later batches maintain it like a cold load."""
         schema, program = cascade_schema(), cascade_program()
         path = str(tmp_path / "replay.db")
         db = SQLiteDatabase(schema, path=path)
         db.insert_all(cascade_facts())
-        context = EvalContext()
-        first_stream = []
-        context.add_observer(first_stream.append)
-        service = RepairService(db, program, context=context)
+        service = RepairService(db, program)
         service.apply(deletes=[fact("E", 0, 1)])
         service.apply(inserts=[fact("E", 0, 1)])
         live = [a.signature() for a in service.assignments()]
         db.close()
 
-        replay_context = EvalContext()
-        replayed = []
-        replay_context.add_observer(replayed.append)
-        db2, warmed = self.reopen(path, schema, program, context=replay_context)
-        replay_sigs = [a.signature() for a in replayed]
+        db2, warmed = self.reopen(path, schema, program)
+        restored = [a.signature() for a in warmed.assignments()]
         # Exactly the live assignments, once each, in original record order
         # (persisted aids are monotone in record order).
-        assert replay_sigs == live
-        assert len(set(replay_sigs)) == len(replay_sigs)
-        # New batches keep delivering exactly-once on top of the replay.
+        assert restored == live
+        assert len(set(restored)) == len(restored)
         warmed.apply(deletes=[fact("E", 0, 1)])
+        assert_matches_scratch(warmed, schema, program, "sqlite-file", tmp_path, "r1")
         warmed.apply(inserts=[fact("E", 0, 1)])
-        later = [a.signature() for a in replayed[len(replay_sigs):]]
-        assert later and len(set(later)) == len(later)
+        assert_matches_scratch(warmed, schema, program, "sqlite-file", tmp_path, "r2")
         db2.close()
 
     def test_dirty_store_refuses_warm_restart(self, tmp_path):

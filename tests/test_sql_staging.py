@@ -1,17 +1,18 @@
-"""Observer-path regression tests for the single-pass staged SQLite rounds.
+"""Regression tests for the single-pass staged SQLite rounds.
 
 The semi-naive SQL driver evaluates every rule variant's join exactly once per
-round.  With observers it stages the join's rows into a temp table and feeds
-both the observers and the install from the staged rows; without observers it
-runs the install directly (the fast path).  These tests pin down:
+round.  When the assignments are consumed (collected, or fed to an
+``on_assignment`` hook) it stages the join's rows into a temp table and feeds
+both the consumers and the install from the staged rows; otherwise it runs
+the install directly (the fast path).  These tests pin down:
 
 * staged rows vs the legacy re-SELECT double-pass: identical assignment
   multisets **including tid labels**, identical delta fixpoints;
-* the no-observer fast path: same fixpoint, zero assignment rows, zero
+* the consumer-free fast path: same fixpoint, zero assignment rows, zero
   ``assign-select``/``stage`` statements (verified by tag-counting hooks);
 * empty-frontier rounds behave identically on both paths;
 * the :class:`~repro.datalog.context.QueryStats` single-pass accounting;
-* the bounded-chunk observer replay of the staged rows.
+* the bounded-chunk replay of the staged rows to ``on_assignment``.
 """
 
 from __future__ import annotations
@@ -236,26 +237,6 @@ class TestFastPath:
         assert counts[TAG_ASSIGN_SELECT] == 0
         assert counts[TAG_INSTALL_DIRECT] == 0
 
-    def test_context_observer_forces_staging_and_receives_assignments(self):
-        db, program = cascade_fixture()
-        reference = run_closure(db.clone(), program, engine="semi-naive")
-        working = db.clone()
-        ctx = EvalContext()
-        seen: List = []
-        ctx.add_observer(seen.append)
-        result = run_closure(
-            working, program, engine="semi-naive",
-            collect_assignments=False, context=ctx,
-        )
-        assert result.assignments == []
-        assert Counter(assignment_key(a) for a in seen) == Counter(
-            assignment_key(a) for a in reference.assignments
-        )
-        assert ctx.stats.staged_selects > 0
-        # Removing the observer re-enables the fast path.
-        ctx.remove_observer(seen.append)
-        assert not ctx.has_observers
-
     def test_empty_frontier_rounds_on_fast_path(self):
         # A closure whose final round installs nothing must terminate with
         # the same round count on both paths (the install change counts are
@@ -303,53 +284,6 @@ class TestSinglePassAccounting:
         run_closure(db.clone(), program, engine="semi-naive", context=ctx)
         assert ctx.stats.variant_compiles == compiles_after_first
 
-    def test_stage_discovery_stages_when_context_has_observers(self):
-        from repro.core.semantics import stage_semantics
-
-        db, program = cascade_fixture()
-        # Observer-less shared context: discovery keeps streaming plain
-        # single-pass SELECTs (staging would be overhead with one consumer),
-        # counted per join.
-        plain_ctx = EvalContext()
-        plain = stage_semantics(db, program, context=plain_ctx)
-        assert plain.deleted
-        assert plain_ctx.stats.assignment_selects > 0
-        assert plain_ctx.stats.staged_selects == 0
-        # With an assignment observer the same joins stage through the keyed
-        # tables and feed the observer once per discovered assignment: one
-        # staged insert per join, no plain SELECTs, no staged installs
-        # (discovery only enumerates), at most one DDL batch per width.
-        ctx = EvalContext()
-        observed: List = []
-        ctx.add_observer(observed.append)
-        result = stage_semantics(db, program, context=ctx)
-        assert result.deleted
-        assert observed
-        assert ctx.stats.staged_selects > 0
-        assert ctx.stats.assignment_selects == 0
-        assert ctx.stats.staged_installs == 0
-        assert 0 < ctx.stats.stage_ddl < ctx.stats.staged_selects
-        # Both modes must agree with the naive oracle.
-        oracle = stage_semantics(db, program, engine="naive")
-        assert plain.deleted == result.deleted == oracle.deleted
-        assert plain.rounds == result.rounds == oracle.rounds
-
-    def test_stage_discovery_observer_delivery_is_backend_symmetric(self):
-        from repro.core.semantics import stage_semantics
-
-        memory, program = random_instance(3, max_facts=20)
-        sqlite = SQLiteDatabase.from_database(memory)
-        streams = {}
-        for backend, db in (("memory", memory), ("sqlite", sqlite)):
-            ctx = EvalContext()
-            seen: List = []
-            ctx.add_observer(seen.append)
-            stage_semantics(db, program, context=ctx)
-            streams[backend] = Counter(a.signature() for a in seen)
-        assert streams["memory"] == streams["sqlite"]
-        # Exactly-once per enumeration: no duplicates in either stream.
-        assert all(count == 1 for count in streams["memory"].values())
-
     def test_discovery_without_context_stays_plain_selects(self):
         from repro.datalog.sql_seminaive import (
             full_assignments_sql,
@@ -373,36 +307,10 @@ class TestSinglePassAccounting:
         assert plain
         assert counts[TAG_ASSIGN_SELECT] > 0
         assert counts[TAG_STAGE] == 0
-        # The same joins, staged through a shared context, enumerate the same
-        # assignment multiset without a single further plain SELECT — and the
-        # staged rows feed the context's assignment observers as they stream.
-        plain_selects = counts[TAG_ASSIGN_SELECT]
-        ctx = EvalContext()
-        observed: List = []
-        ctx.add_observer(observed.append)
-        staged = [
-            a
-            for rule in rules
-            for a in full_assignments_sql(db, rule, db.generation(), context=ctx)
-        ]
-        staged += [
-            a
-            for rule in rules
-            for a in seeded_assignments_sql(db, rule, 0, db.generation(), context=ctx)
-        ]
-        assert Counter(assignment_key(a) for a in staged) == Counter(
-            assignment_key(a) for a in plain
-        )
-        assert ctx.stats.staged_selects > 0
-        assert counts[TAG_ASSIGN_SELECT] == plain_selects
-        assert counts[TAG_STAGE] == ctx.stats.staged_selects
-        assert Counter(assignment_key(a) for a in observed) == Counter(
-            assignment_key(a) for a in staged
-        )
 
 
 class TestBatchedObserverReplay:
-    """Staged rows reach observers in bounded chunks, order preserved."""
+    """Staged rows reach ``on_assignment`` in bounded chunks, order preserved."""
 
     def _wide_instance(self):
         # One variant staging 20 rows in a single round, so a small chunk
@@ -440,8 +348,10 @@ class TestBatchedObserverReplay:
         db = SQLiteDatabase.from_database(base)
         ctx = EvalContext()
         delivered = []
-        ctx.add_observer(delivered.append)
-        result = run_closure(db, program, engine="semi-naive", context=ctx)
+        result = run_closure(
+            db, program, engine="semi-naive", on_assignment=delivered.append,
+            context=ctx,
+        )
         db.close()
         return delivered, result, ctx
 

@@ -57,7 +57,8 @@ class QueryStats:
         join each, used when nothing consumes the assignments.
     assignment_selects:
         Plain streaming assignment ``SELECT`` joins run under a context — the
-        stage-semantics and maintenance discovery path.
+        maintenance discovery path
+        (:func:`~repro.datalog.sql_seminaive.seeded_assignments_sql`).
     replans:
         Join plans rebuilt by round-boundary re-costing: the in-memory
         planner detected that a relation's extent drifted past the

@@ -271,10 +271,11 @@ class JoinPlanner:
         """Mark a round boundary: drop the cardinality cache so the next
         :meth:`plan` request re-reads extents and can detect drift.
 
-        Called by the semi-naive frontier loop (and the incremental stage
-        discovery) before each delta round; cheap — cardinality reads within
-        the round stay memoised.  The first call also arms drift re-costing
-        for this planner; until then cached plans are returned untouched.
+        Called by the in-memory frontier loops (the closure and insert
+        propagation) before each delta round; cheap — cardinality reads
+        within the round stay memoised.  The first call also arms drift
+        re-costing for this planner; until then cached plans are returned
+        untouched.
         """
         self._cardinalities.clear()
         self._recost_armed = True

@@ -34,13 +34,25 @@ control retention and delivery.  A shared
 planner, backed by the context's structural plan cache so several runs (e.g.
 the four semantics of one ``compare()``) plan each rule shape once.
 
+Deleting derived facts
+----------------------
+
+A round ends by recording its derived facts with
+:meth:`~repro.storage.database.BaseDatabase.mark_deleted`, leaving the active
+extents untouched (end semantics).  With ``delete_derived=True`` it calls
+:meth:`~repro.storage.database.BaseDatabase.delete` instead, so the facts
+also leave the active extent before the next round: stage semantics
+(Definition 3.7).  The loop then runs once more after any round that derived
+a fact, so ``rounds`` counts the final stage that changes nothing, as the
+naive stage loop does.
+
 Frontier tokens
 ---------------
 
-Every in-memory frontier loop — this closure, insert propagation in
-:mod:`repro.datalog.incremental` and stage-semantics discovery — reads its
-next frontier through :class:`_FrontierTokens`: one storage token per delta
-relation some rule reads, advanced in sorted relation order.
+Both in-memory frontier loops — this closure and insert propagation in
+:mod:`repro.datalog.incremental` — read their next frontier through
+:class:`_FrontierTokens`: one storage token per delta relation some rule
+reads, advanced in sorted relation order.
 """
 
 from __future__ import annotations
@@ -172,16 +184,16 @@ def semi_naive_closure(
     planner: JoinPlanner | None = None,
     collect_assignments: bool = True,
     context=None,
+    delete_derived: bool = False,
 ) -> ClosureResult:
     """Derive all delta facts of ``db`` under ``program`` to fixpoint.
 
     Equivalent to the naive closure (same assignments, same delta facts, same
     exactly-once ``on_assignment`` calls) but incremental after round 1: only
     assignments reachable from the previous round's frontier are enumerated.
-    The active extents are never touched (:meth:`BaseDatabase.mark_deleted`
-    only records deletions), matching end-semantics style derivation.  See
+    The active extents are untouched unless ``delete_derived`` is set.  See
     the module docstring for the consumer knobs (``on_assignment``,
-    ``collect_assignments``).
+    ``collect_assignments``) and for ``delete_derived``.
     """
     rules = list(program)
     if planner is None:
@@ -205,6 +217,7 @@ def semi_naive_closure(
         derived_now.append(assignment.derived)
 
     rounds = 0
+    settle = db.delete if delete_derived else db.mark_deleted
 
     def enter_round() -> None:
         nonlocal rounds
@@ -220,14 +233,14 @@ def semi_naive_closure(
         for assignment in find_assignments(db, rule, planner=planner):
             record(assignment)
     for item in derived_now:
-        db.mark_deleted(item)
+        settle(item)
 
     # Rounds 2..: re-enter rules only through the previous round's frontier.
     # Each round boundary refreshes the planner's cardinality cache so plans
     # whose extents drifted get re-costed before the round's joins run.
     while True:
         frontier = tokens.advance()
-        if not frontier:
+        if not frontier and not (delete_derived and derived_now):
             break
         enter_round()
         planner.begin_round()
@@ -236,6 +249,6 @@ def semi_naive_closure(
             for assignment in seeded_assignments(db, rule, frontier, planner):
                 record(assignment)
         for item in derived_now:
-            db.mark_deleted(item)
+            settle(item)
 
     return ClosureResult(all_assignments, rounds, ENGINE_SEMI_NAIVE)

@@ -257,9 +257,8 @@ class FrontierQuery:
         ``SELECT`` enumerating the variant's assignments (per-atom value
         columns + ``tid``, in body order — same row shape as
         :class:`CompiledRule`).  The closure driver never runs this (it
-        reads the staged rows instead); stage-semantics and maintenance
-        discovery stream it, and the staging regression tests use it as the
-        re-SELECT oracle.
+        reads the staged rows instead); maintenance discovery streams it, and
+        the staging regression tests use it as the re-SELECT oracle.
     install_sql:
         Fast path: ``INSERT OR IGNORE INTO f_H ... SELECT DISTINCT <head>,
         NULL, :gen`` over the body join, installing the derived head facts
@@ -613,6 +612,20 @@ def delta_copy_sql(relation: str, arity: int) -> str:
     return (
         f"INSERT OR IGNORE INTO {delta_table(relation)} ({columns}) "
         f"SELECT {columns} FROM {frontier_table(relation)} WHERE gen = :gen"
+    )
+
+
+def active_delete_sql(relation: str, arity: int) -> str:
+    """Statement deleting one generation of frontier rows from the active table.
+
+    Run after :func:`delta_copy_sql` with the same ``:gen`` by a driver that
+    deletes each round's derived facts: an index search of ``f_R`` on ``gen``,
+    then one primary-key probe of ``r_R`` per frontier row.
+    """
+    columns = ", ".join(f"c{i}" for i in range(arity))
+    return (
+        f"DELETE FROM {active_table(relation)} WHERE ({columns}) IN "
+        f"(SELECT {columns} FROM {frontier_table(relation)} WHERE gen = :gen)"
     )
 
 

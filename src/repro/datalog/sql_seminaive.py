@@ -42,11 +42,18 @@ execution forms runs depends on whether anything consumes the assignments:
   **steady-state rounds issue zero DDL** (no ``DROP TABLE``/``CREATE TEMP
   TABLE`` after the first staging of each width).
 
-The discovery SELECTs of stage semantics and maintenance
-(:func:`seeded_assignments_sql` / :func:`full_assignments_sql`) have a single
-consumer, so they stream a plain single-pass SELECT and materialise nothing
-(the joins are counted in ``stats.assignment_selects`` when a context is
-present).
+With ``delete_derived=True`` (stage semantics) each round's derived facts
+also leave the active extent: after the round's
+:func:`~repro.datalog.sql_compiler.delta_copy_sql`, one
+:func:`~repro.datalog.sql_compiler.active_delete_sql` per head relation with
+new rows deletes that generation from ``r_R``, still without a row reaching
+Python.  The loop then continues while the previous round derived any fact,
+so ``rounds`` counts the final stage that changes nothing (see
+:mod:`repro.datalog.seminaive`).
+
+Maintenance discovery (:func:`seeded_assignments_sql`) has a single consumer,
+so it streams a plain single-pass SELECT and materialises nothing (the joins
+are counted in ``stats.assignment_selects`` when a context is present).
 
 A shared :class:`~repro.datalog.context.EvalContext` supplies compiled
 variants cached across runs (one ``RepairEngine.compare()`` compiles each rule
@@ -64,7 +71,7 @@ from repro.datalog.ast import Program, Rule
 from repro.datalog.context import EvalContext
 from repro.datalog.evaluation import Assignment, ClosureResult, ENGINE_SEMI_NAIVE
 from repro.datalog.sql_compiler import (
-    FrontierQuery,
+    active_delete_sql,
     assignments_from_rows,
     compile_frontier_rule,
     delta_copy_sql,
@@ -104,27 +111,6 @@ def staged_row_batches(cursor, context: EvalContext):
         yield batch
 
 
-def _discovery_assignments(
-    db: SQLiteDatabase,
-    rule: Rule,
-    variant: FrontierQuery,
-    window: Dict[str, int],
-    context: EvalContext | None,
-) -> Iterator[Assignment]:
-    """Stream one variant's discovery assignments from a plain SELECT.
-
-    The shared enumeration core of :func:`seeded_assignments_sql` and
-    :func:`full_assignments_sql`; the join is counted in
-    ``stats.assignment_selects`` under a context.
-    """
-    if variant.wcoj_index_sql:
-        db.ensure_wcoj_indexes(variant.wcoj_index_sql)
-    rows = db.execute(variant.sql, variant.bind(**window))
-    if context is not None:
-        context.stats.assignment_selects += 1
-    yield from assignments_from_rows(rule, variant.atom_arities, rows)
-
-
 def seeded_assignments_sql(
     db: SQLiteDatabase,
     rule: Rule,
@@ -137,27 +123,18 @@ def seeded_assignments_sql(
     Mirror of :func:`repro.datalog.seminaive.seeded_assignments` with the
     frontier expressed as a generation window; each qualifying assignment is
     produced exactly once (rank-stratified variants partition the space by the
-    first delta atom falling inside the window).  This is the stage-semantics
-    and maintenance discovery path: it only enumerates (no install).
+    first delta atom falling inside the window).  This is the maintenance
+    discovery path: it only enumerates (no install), streaming each variant's
+    plain SELECT, counted in ``stats.assignment_selects`` under a context.
     """
     _, seeded = _variants(rule, context)
-    window = {"lo": lo, "hi": hi}
     for variant in seeded:
-        yield from _discovery_assignments(db, rule, variant, window, context)
-
-
-def full_assignments_sql(
-    db: SQLiteDatabase,
-    rule: Rule,
-    hi: int,
-    context: EvalContext | None = None,
-) -> Iterator[Assignment]:
-    """All assignments of ``rule`` with delta atoms bounded by ``gen <= hi``.
-
-    A plain streaming SELECT, exactly like :func:`seeded_assignments_sql`.
-    """
-    full, _ = _variants(rule, context)
-    yield from _discovery_assignments(db, rule, full, {"hi": hi}, context)
+        if variant.wcoj_index_sql:
+            db.ensure_wcoj_indexes(variant.wcoj_index_sql)
+        rows = db.execute(variant.sql, variant.bind(lo=lo, hi=hi))
+        if context is not None:
+            context.stats.assignment_selects += 1
+        yield from assignments_from_rows(rule, variant.atom_arities, rows)
 
 
 def sql_semi_naive_closure(
@@ -167,15 +144,16 @@ def sql_semi_naive_closure(
     max_rounds: int | None = None,
     collect_assignments: bool = True,
     context: EvalContext | None = None,
+    delete_derived: bool = False,
 ) -> ClosureResult:
     """Derive all delta facts of ``db`` under ``program`` to fixpoint.
 
     Equivalent to the naive SQL closure (same delta facts; same assignments
     and exactly-once ``on_assignment`` calls whenever assignments are
     observed) and to the in-memory semi-naive engine (same stage-style round
-    count), but incremental after round 1 and with every variant's join
-    evaluated once per round (see module docstring).  With
-    ``collect_assignments=False`` the returned
+    count, same ``delete_derived`` rounds), but incremental after round 1 and
+    with every variant's join evaluated once per round (see module
+    docstring).  With ``collect_assignments=False`` the returned
     :class:`~repro.datalog.evaluation.ClosureResult` carries an empty
     assignment list; combined with no ``on_assignment`` hook this enables the
     install-only fast path.
@@ -187,9 +165,12 @@ def sql_semi_naive_closure(
     watched = {
         atom.relation for rule in delta_rules for atom in rule.body if atom.is_delta
     }
+    heads = {rule.head.relation: rule.head.arity for rule in rules}
     copy_statements = {
-        rule.head.relation: delta_copy_sql(rule.head.relation, rule.head.arity)
-        for rule in rules
+        name: delta_copy_sql(name, arity) for name, arity in heads.items()
+    }
+    delete_statements = {
+        name: active_delete_sql(name, arity) for name, arity in heads.items()
     }
     observing = collect_assignments or on_assignment is not None
 
@@ -241,6 +222,14 @@ def sql_semi_naive_closure(
                 new_by_relation.get(relation, 0) + cursor.rowcount
             )
 
+    def settle(new_by_relation: Dict[str, int], gen: int) -> None:
+        """Promote the round's new rows into ``d_R`` (and, under
+        ``delete_derived``, delete them from ``r_R``)."""
+        for relation in new_by_relation:
+            db.execute(copy_statements[relation], {"gen": gen})
+            if delete_derived:
+                db.execute(delete_statements[relation], {"gen": gen})
+
     rounds = 0
 
     def enter_round() -> None:
@@ -261,12 +250,13 @@ def sql_semi_naive_closure(
     for rule in rules:
         full, _ = _variants(rule, ctx)
         run_variant(rule, full, {"hi": hi}, gen, new_by_relation)
-    for relation in new_by_relation:
-        db.execute(copy_statements[relation], {"gen": gen})
+    settle(new_by_relation, gen)
 
     # Rounds 2..: re-enter delta rules only through the previous round's
     # frontier window (lo, hi].
-    while any(new_by_relation.get(relation) for relation in watched):
+    while any(new_by_relation.get(relation) for relation in watched) or (
+        delete_derived and new_by_relation
+    ):
         enter_round()
         lo, hi = hi, gen
         gen = db.next_generation()
@@ -280,7 +270,6 @@ def sql_semi_naive_closure(
                 run_variant(
                     rule, variant, {"lo": lo, "hi": hi}, gen, new_by_relation,
                 )
-        for relation in new_by_relation:
-            db.execute(copy_statements[relation], {"gen": gen})
+        settle(new_by_relation, gen)
 
     return ClosureResult(all_assignments, rounds, ENGINE_SEMI_NAIVE)

@@ -19,9 +19,7 @@ Two derived quantities drive the greedy algorithm:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
-
-import networkx as nx
+from typing import Dict, List, Sequence, Set, Tuple
 
 from repro.datalog.ast import Program, Rule
 from repro.datalog.delta import DeltaProgram
@@ -50,9 +48,10 @@ class ProvenanceGraph:
 
     Attributes
     ----------
-    graph:
-        A :class:`networkx.DiGraph` whose nodes are ``("base", fact)`` and
-        ``("delta", fact)`` pairs and whose edges follow derivations.
+    nodes:
+        The graph's nodes: ``("base", fact)`` and ``("delta", fact)`` pairs.
+    edges:
+        ``(source, target)`` node pairs, one per distinct derivation edge.
     assignments:
         Every assignment observed during the end-semantics closure.
     derived:
@@ -63,7 +62,8 @@ class ProvenanceGraph:
         ``fact -> benefit`` for every base tuple appearing in some assignment.
     """
 
-    graph: "nx.DiGraph" = field(default_factory=nx.DiGraph)
+    nodes: Set[Tuple[str, Fact]] = field(default_factory=set)
+    edges: Set[Tuple[Tuple[str, Fact], Tuple[str, Fact]]] = field(default_factory=set)
     assignments: List[Assignment] = field(default_factory=list)
     derived: set[Fact] = field(default_factory=set)
     layers: Dict[Fact, int] = field(default_factory=dict)
@@ -98,11 +98,11 @@ class ProvenanceGraph:
 
     def node_count(self) -> int:
         """Number of graph nodes (base + delta)."""
-        return self.graph.number_of_nodes()
+        return len(self.nodes)
 
     def edge_count(self) -> int:
         """Number of derivation edges."""
-        return self.graph.number_of_edges()
+        return len(self.edges)
 
     def describe(self) -> str:
         """A short multi-line description of the graph's shape."""
@@ -123,11 +123,11 @@ class ProvenanceGraph:
         self.assignments.append(assignment)
         target = delta_node(assignment.derived)
         self.derived.add(assignment.derived)
-        self.graph.add_node(target, kind=DELTA)
+        self.nodes.add(target)
         for atom, item in assignment.used:
             source = delta_node(item) if atom.is_delta else base_node(item)
-            self.graph.add_node(source, kind=atom.is_delta and DELTA or BASE)
-            self.graph.add_edge(source, target)
+            self.nodes.add(source)
+            self.edges.add((source, target))
 
     def _compute_layers(self) -> None:
         """Layer = the round of stage-style evaluation when a tuple first derives.

@@ -439,10 +439,10 @@ class SQLiteDatabase(BaseDatabase):
         Returns True when the DDL actually ran (first sighting of ``width`` on
         this connection), False on the steady-state no-op path.  The table is
         a temp table ``_repro_stage_w{width}`` with a ``variant_id`` key column
-        plus ``s0..s{width-1}``; the semi-naive driver and the staged
-        stage-discovery path ``DELETE``/``INSERT`` into it per round instead
-        of dropping and recreating a table per variant execution, so
-        steady-state rounds issue zero DDL.  The DDL routes through
+        plus ``s0..s{width-1}``; the semi-naive driver's staged path
+        ``DELETE``/``INSERT``s into it per round instead of dropping and
+        recreating a table per variant execution, so steady-state rounds
+        issue zero DDL.  The DDL routes through
         :meth:`execute` (tagged :data:`TAG_STAGE_DDL`) so statement hooks can
         assert exactly that.
         """

@@ -6,7 +6,7 @@ Three behaviours:
   variant width (``_repro_stage_wN`` with a ``variant_id`` key) instead of
   dropping and recreating ``_repro_stage`` per variant execution, so
   steady-state rounds issue zero DDL (no ``DROP TABLE``/``CREATE TEMP
-  TABLE``), and stage-semantics discovery never touches them;
+  TABLE``), and stage semantics never touches them;
 * **round-boundary plan re-costing** — the in-memory planner rebuilds a
   cached join plan when the extents drift past the
   :data:`~repro.datalog.planner.DRIFT_FACTOR` band around the plan's cost
@@ -141,9 +141,10 @@ class TestKeyedStageTables:
                 f"SELECT COUNT(*) FROM {stage_table_name(width)}",
             ).fetchone()
             assert rows[0] == 0, width
-        # Stage-semantics discovery streams plain SELECTs: the clone it runs
-        # on (returned as the repaired database) never issues a statement
-        # against a stage table.
+        # Stage semantics runs the install-only closure path: the clone it
+        # runs on (returned as the repaired database) never issues a
+        # statement against a stage table.  It starts from a fresh fixture,
+        # because the closed ``db`` has deltas and would take the naive loop.
         from repro.core.semantics import stage_semantics
 
         statements: list = []
@@ -155,10 +156,12 @@ class TestKeyedStageTables:
             return copy
 
         monkeypatch.setattr(SQLiteDatabase, "clone", hooked_clone)
+        fresh, _ = cascade_fixture()
         stage_ctx = EvalContext()
-        result = stage_semantics(db, program, context=stage_ctx)
+        result = stage_semantics(fresh, program, context=stage_ctx)
         assert result.deleted
-        assert stage_ctx.stats.assignment_selects > 0
+        assert result.metadata["engine"] == "semi-naive"
+        assert stage_ctx.stats.direct_installs > 0
         assert statements
         assert not [
             sql

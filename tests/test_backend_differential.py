@@ -8,6 +8,10 @@ under *every* evaluation engine:
   exactly across backends;
 * end, stage and step semantics return identical stabilizing sets and
   repaired states;
+* stage semantics hands unguarded rule lists and databases with recorded
+  deltas to the naive loop, reporting ``"naive"`` in its metadata, and runs
+  every other SQLite input on the install-only path, one generation stamp
+  per stage;
 * independent semantics returns minima of the same size (the Min-Ones solver
   may break ties between equal minima differently depending on clause order,
   which legitimately differs between backends), and each backend's set must
@@ -26,6 +30,8 @@ reproducible from the log alone — parity with the property torture suite.
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.core.semantics import (
@@ -35,15 +41,21 @@ from repro.core.semantics import (
     step_semantics,
 )
 from repro.core.stability import is_stabilizing_set
+from repro.datalog import DeltaProgram, EvalContext
+from repro.datalog.ast import Rule
 from repro.datalog.evaluation import find_all_assignments, run_closure
 from repro.datalog.planner import PLAN_BINARY, PLAN_ENV, PLAN_WCOJ
 from repro.provenance.boolean import build_boolean_provenance
+from repro.storage.database import Database
+from repro.storage.facts import Fact
+from repro.storage.schema import RelationSchema, Schema
 from repro.storage.sqlite_backend import SQLiteDatabase
 
 from tests.generators import (
     differential_seeds,
     paper_instance,
     random_instance,
+    random_torture_spec,
     seed_note,
 )
 
@@ -60,6 +72,38 @@ def instance_pair(seed: int):
     """One random instance materialised on both backends."""
     memory, program = random_instance(seed, max_facts=25)
     return memory, SQLiteDatabase.from_database(memory), program
+
+
+def unguarded_instance(seed: int):
+    """A random torture instance on both backends, as a raw rule list in
+    which every rule whose other atoms still bind the head loses its guard
+    atom (at least one rule does; ``DeltaProgram`` would reject the list)."""
+    rng = random.Random(seed)
+    while True:
+        memory, program = random_torture_spec(rng).build()
+        rules = []
+        for rule in program:
+            guard = rule.guard_atom()
+            rest = tuple(atom for atom in rule.body if atom is not guard)
+            stripped = (
+                Rule(rule.head, rest, rule.comparisons, name=rule.name)
+                if rest
+                else rule
+            )
+            rules.append(stripped if stripped.is_safe() else rule)
+        if any(rule.guard_atom() is None for rule in rules):
+            return memory, SQLiteDatabase.from_database(memory), rules
+
+
+def assert_stage_runs_naive_loop(db, program, note: str) -> None:
+    """The default stage engine must hand ``db`` to the naive loop and agree
+    with ``engine="naive"`` on every output."""
+    naive = stage_semantics(db, program, engine="naive")
+    default = stage_semantics(db, program)
+    assert default.metadata["engine"] == "naive", note
+    assert default.deleted == naive.deleted, note
+    assert default.rounds == naive.rounds, note
+    assert default.repaired.same_state_as(naive.repaired), note
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -191,6 +235,40 @@ class TestSemanticsEquivalence:
             # Stage counts the unique fixpoint iteration: backend-independent.
             assert mem.rounds == sql.rounds, seed_note(seed, engine)
 
+    def test_stage_unguarded_rules_run_the_naive_loop(self, seed):
+        memory, sqlite, rules = unguarded_instance(seed)
+        for db in (memory, sqlite):
+            assert_stage_runs_naive_loop(
+                db, rules, seed_note(seed, type(db).__name__),
+            )
+
+    def test_stage_recorded_deltas_run_the_naive_loop(self, seed):
+        memory, _, program = instance_pair(seed)
+        closed = memory.clone()
+        run_closure(closed, program)
+        marked = memory.clone()
+        for item in sorted(memory.all_active(), key=Fact.sort_key)[::5]:
+            marked.mark_deleted(item)
+        for label, base in (("closed", closed), ("marked", marked)):
+            if not base.count_delta():
+                continue
+            for db in (base, SQLiteDatabase.from_database(base)):
+                assert_stage_runs_naive_loop(
+                    db, program, seed_note(seed, label, type(db).__name__),
+                )
+
+    def test_stage_guarded_sqlite_takes_install_only_route(self, seed):
+        _, sqlite, program = instance_pair(seed)
+        context = EvalContext()
+        result = stage_semantics(sqlite, program, context=context)
+        assert result.metadata["engine"] == "semi-naive", seed_note(seed)
+        # No row reaches Python: installs only, no assignment SELECT.
+        assert context.stats.assignment_selects == 0, seed_note(seed)
+        assert context.stats.direct_installs > 0, seed_note(seed)
+        # One generation stamp per stage, not one per deleted fact.
+        stamps = result.repaired.generation() - sqlite.generation()
+        assert stamps == result.rounds, seed_note(seed)
+
     def test_step_semantics(self, seed):
         memory, sqlite, program = instance_pair(seed)
         for engine in ENGINES:
@@ -262,3 +340,26 @@ class TestPaperInstance:
         assert {a.signature() for a in mem.assignments} == {
             a.signature() for a in sql.assignments
         }
+
+
+class TestStageRouting:
+    def test_unguarded_text_program_runs_the_naive_loop(self):
+        # R(2) is derived but never stored: the naive loop records it in the
+        # delta extent without counting it as deleted.
+        program = DeltaProgram.from_text(
+            """
+            delta R(x) :- S(x).
+            delta S(x) :- S(x), delta R(x).
+            """,
+            require_guard=False,
+        )
+        schema = Schema.from_relations(
+            [RelationSchema.of("R", "x:int"), RelationSchema.of("S", "x:int")],
+        )
+        memory = Database.from_dicts(schema, {"R": [(1,)], "S": [(1,), (2,)]})
+        for db in (memory, SQLiteDatabase.from_database(memory)):
+            assert_stage_runs_naive_loop(db, program, type(db).__name__)
+            result = stage_semantics(db, program)
+            assert result.deleted == {Fact("R", (1,)), Fact("S", (1,)), Fact("S", (2,))}
+            assert Fact("R", (2,)) in set(result.repaired.all_deltas())
+            assert result.rounds == 3

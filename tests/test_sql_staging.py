@@ -285,23 +285,14 @@ class TestSinglePassAccounting:
         assert ctx.stats.variant_compiles == compiles_after_first
 
     def test_discovery_without_context_stays_plain_selects(self):
-        from repro.datalog.sql_seminaive import (
-            full_assignments_sql,
-            seeded_assignments_sql,
-        )
+        from repro.datalog.sql_seminaive import seeded_assignments_sql
 
         db, program = cascade_fixture()
         run_closure(db, program, engine="semi-naive", collect_assignments=False)
         counts = tag_counter(db)
-        rules = list(program)
         plain = [
             a
-            for rule in rules
-            for a in full_assignments_sql(db, rule, db.generation())
-        ]
-        plain += [
-            a
-            for rule in rules
+            for rule in program
             for a in seeded_assignments_sql(db, rule, 0, db.generation())
         ]
         assert plain

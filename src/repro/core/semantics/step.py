@@ -8,11 +8,21 @@ provenance graph; this module implements both that greedy algorithm (the
 default) and an exhaustive search over firing sequences that is exact but only
 feasible on small instances (used by the tests to validate the greedy result
 and by the vertex-cover reduction experiments).
+
+The greedy traverse walks the graph's layers in order.  Layers and benefits
+are fixed once the graph is built, so the derived tuples are ranked once (by
+layer, then highest benefit, ties to the smaller stable hash) and walked in
+that order, skipping the tuples chosen or pruned meanwhile.  Pruning is a
+worklist: choosing a tuple voids the derivations that use it as a base atom,
+and a derived tuple left with no live derivation is pruned, which voids the
+derivations that read its Δ.  Deletions the input database already records
+are in Δ whatever the traverse picks, so they are layer 0 for the tuples that
+read them and are never pruned.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Set
+from typing import Dict, Iterable, List, Set, Tuple
 
 from repro.core.semantics.base import (
     PHASE_EVAL,
@@ -25,7 +35,6 @@ from repro.datalog.ast import Program, Rule
 from repro.datalog.delta import DeltaProgram
 from repro.datalog.evaluation import (
     ENGINE_AUTO,
-    Assignment,
     find_assignments,
     run_closure,
     validate_engine,
@@ -88,6 +97,10 @@ def _step_greedy(
 ) -> RepairResult:
     timer = timer if timer is not None else PhaseTimer()
     rules = list(program)
+    # Deletions the input already records stay in Δ whatever the traverse
+    # picks: the layering counts them as layer 0 and the traverse never
+    # prunes them.  Read them before the closure adds its own.
+    recorded = frozenset(db.all_deltas())
 
     # Line 1 of Algorithm 2: the provenance graph of End(P, D).  The graph
     # only needs the assignment *stream* (it indexes facts itself), so the
@@ -104,50 +117,11 @@ def _step_greedy(
             context=context,
         )
     with timer.phase(PHASE_PROCESS_PROV):
-        provenance._compute_layers()
+        provenance._compute_layers(recorded)
         provenance._compute_benefits()
 
-    chosen: Set[Fact] = set()
-    removed: Set[Fact] = set()
     with timer.phase(PHASE_TRAVERSE):
-        assignments_of: Dict[Fact, List[Assignment]] = {}
-        for assignment in provenance.assignments:
-            assignments_of.setdefault(assignment.derived, []).append(assignment)
-
-        def prune() -> None:
-            """Remove delta tuples all of whose derivations are voided."""
-            changed = True
-            while changed:
-                changed = False
-                for target in provenance.derived:
-                    if target in chosen or target in removed:
-                        continue
-                    derivations = assignments_of.get(target, [])
-                    if derivations and all(
-                        _is_voided(assignment, target, chosen, removed)
-                        for assignment in derivations
-                    ):
-                        removed.add(target)
-                        changed = True
-
-        for layer in range(1, provenance.layer_count + 1):
-            while True:
-                candidates = [
-                    item
-                    for item in provenance.tuples_in_layer(layer)
-                    if item not in chosen and item not in removed
-                ]
-                if not candidates:
-                    break
-                best = max(
-                    candidates,
-                    key=lambda item: (
-                        provenance.benefit(item),
-                        -stable_hash(item.relation, item.values),
-                    ),
-                )
-                chosen.add(best)
-                prune()
+        chosen, removed = _traverse(provenance, recorded)
 
     repaired = stabilized_copy(db, chosen)
     return RepairResult(
@@ -168,21 +142,65 @@ def _step_greedy(
     )
 
 
-def _is_voided(
-    assignment: Assignment,
-    target: Fact,
-    chosen: Set[Fact],
-    removed: Set[Fact],
-) -> bool:
-    """An assignment is voided when a chosen deletion breaks one of its base atoms,
-    or a pruned delta tuple can no longer supply one of its delta atoms."""
-    for item in assignment.base_facts():
-        if item in chosen and item != target:
-            return True
-    for item in assignment.delta_facts():
-        if item in removed:
-            return True
-    return False
+def _traverse(
+    provenance: ProvenanceGraph, recorded: frozenset[Fact],
+) -> Tuple[Set[Fact], Set[Fact]]:
+    """Algorithm 2's greedy traverse: the chosen deletions and the pruned tuples.
+
+    Layer by layer, the traverse takes the tuple of highest benefit (ties to
+    the smaller stable hash), then prunes every delta tuple whose derivations
+    are all voided, until the layer has no candidate left.
+    """
+    assignments = provenance.assignments
+    chosen: Set[Fact] = set()
+    removed: Set[Fact] = set()
+
+    # Pruning is a worklist over three indexes: per target, its derivations
+    # not yet voided; per fact, the assignments that use it as a base atom
+    # and those that read its Δ.
+    live: Dict[Fact, int] = {}
+    base_users: Dict[Fact, List[int]] = {}
+    delta_users: Dict[Fact, List[int]] = {}
+    for index, assignment in enumerate(assignments):
+        live[assignment.derived] = live.get(assignment.derived, 0) + 1
+        for item in assignment.base_facts():
+            base_users.setdefault(item, []).append(index)
+        for item in assignment.delta_facts():
+            delta_users.setdefault(item, []).append(index)
+    voided = [False] * len(assignments)
+
+    def void(users: List[int]) -> None:
+        """Void ``users``; prune each target left with no live derivation."""
+        pending = list(users)
+        while pending:
+            index = pending.pop()
+            if voided[index]:
+                continue
+            voided[index] = True
+            target = assignments[index].derived
+            live[target] -= 1
+            if not live[target] and target not in chosen and target not in recorded:
+                # A pruned tuple never reaches Δ, so whatever reads it is void.
+                removed.add(target)
+                pending.extend(delta_users.get(target, ()))
+
+    # Layers and benefits never change during the traverse, so walking one
+    # ranking and skipping what was chosen or pruned meanwhile picks the same
+    # tuples as re-taking the layer's maximum after every choice.
+    ranked = sorted(
+        provenance.layers,
+        key=lambda item: (
+            provenance.layers[item],
+            -provenance.benefit(item),
+            stable_hash(item.relation, item.values),
+        ),
+    )
+    for item in ranked:
+        if item in chosen or item in removed:
+            continue
+        chosen.add(item)
+        void(base_users.get(item, ()))
+    return chosen, removed
 
 
 # ---------------------------------------------------------------------------

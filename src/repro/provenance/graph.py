@@ -19,7 +19,7 @@ Two derived quantities drive the greedy algorithm:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import AbstractSet, Dict, List, Sequence, Set, Tuple
 
 from repro.datalog.ast import Program, Rule
 from repro.datalog.delta import DeltaProgram
@@ -129,24 +129,27 @@ class ProvenanceGraph:
             self.nodes.add(source)
             self.edges.add((source, target))
 
-    def _compute_layers(self) -> None:
+    def _compute_layers(self, recorded: AbstractSet[Fact]) -> None:
         """Layer = the round of stage-style evaluation when a tuple first derives.
 
         Computed as a fixpoint: a delta tuple's layer is ``1 +`` the maximum
         layer of the delta tuples used by its *shallowest* derivation (0 when a
-        derivation uses no delta tuples).
+        derivation uses no delta tuples).  ``recorded`` holds the deletions
+        the input database already records: they are in Δ before the first
+        round, so a derivation reading one counts it as layer 0.
         """
         self.layers = {}
         changed = True
         while changed:
             changed = False
             for assignment in self.assignments:
-                dependencies = assignment.delta_facts()
-                if any(dep not in self.layers for dep in dependencies):
+                dependencies = [
+                    0 if dep in recorded else self.layers.get(dep)
+                    for dep in assignment.delta_facts()
+                ]
+                if None in dependencies:
                     continue
-                depth = 1 + max(
-                    (self.layers[dep] for dep in dependencies), default=0,
-                )
+                depth = 1 + max(dependencies, default=0)
                 current = self.layers.get(assignment.derived)
                 if current is None or depth < current:
                     self.layers[assignment.derived] = depth
@@ -170,12 +173,14 @@ def build_provenance_graph(
 
     The database is cloned; ``db`` itself is not modified.  ``engine`` selects
     the closure engine (see :func:`repro.datalog.evaluation.run_closure`).
+    Deletions ``db`` already records count as layer 0.
     """
+    recorded = frozenset(db.all_deltas())
     working = db.clone()
     provenance = ProvenanceGraph()
     derive_closure(
         working, program, on_assignment=provenance._register_assignment, engine=engine,
     )
-    provenance._compute_layers()
+    provenance._compute_layers(recorded)
     provenance._compute_benefits()
     return provenance

@@ -104,19 +104,32 @@ class CNF:
     # -- simplification -----------------------------------------------------------
 
     def simplified(self) -> "CNF":
-        """Return a logically equivalent formula with tautologies and subsumed clauses removed."""
+        """Return a logically equivalent formula with tautologies and subsumed clauses removed.
+
+        Clauses are visited shortest first (a stable sort, so equal-length
+        clauses keep their input order) and a clause is dropped when a kept
+        clause is a subset of it.  Each kept clause is filed under its
+        smallest literal, so a candidate is tested only against the kept
+        clauses filed under one of its own literals: a kept subset of the
+        candidate contains its own filing literal, so none is missed.
+        """
         cleaned: List[FrozenSet[int]] = []
         for clause in self.clauses:
             if any(-literal in clause for literal in clause):
                 continue  # tautology: contains both x and ¬x
             cleaned.append(clause)
-        # Subsumption: drop any clause that is a superset of another clause.
         cleaned.sort(key=len)
         kept: List[FrozenSet[int]] = []
+        filed: Dict[int, List[FrozenSet[int]]] = {}
         for clause in cleaned:
-            if any(other <= clause for other in kept):
+            if any(
+                other <= clause
+                for literal in clause
+                for other in filed.get(literal, ())
+            ):
                 continue
             kept.append(clause)
+            filed.setdefault(min(clause), []).append(clause)
         return CNF(kept)
 
     # -- decomposition -------------------------------------------------------------

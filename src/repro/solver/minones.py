@@ -9,22 +9,29 @@ substitute described in DESIGN.md.
 Strategy
 --------
 
-1. Simplify the formula (tautology removal + subsumption) and split it into
-   variable-connected components; minimum solutions add up across components.
-2. Solve each component exactly by DPLL-style branch and bound:
-   unit propagation, most-frequent-positive-literal branching (False branch
-   first), and pruning with a lower bound counting variable-disjoint
-   all-positive unsatisfied clauses.
-3. Components larger than ``exact_variable_limit`` (or exceeding the node
-   budget) fall back to a greedy hitting-set heuristic.  The greedy answer is
-   still a *satisfying* assignment — hence a stabilizing set — just not
-   guaranteed minimum (the same soundness remark the paper makes).
+1. Simplify the formula (tautology removal + subsumption, see
+   :meth:`CNF.simplified`) and split it into variable-connected components;
+   minimum solutions add up across components.
+2. Seed each component with a greedy hitting set: repeatedly set True the
+   variable occurring positively in the most unsatisfied clauses.  The
+   greedy keeps per-clause true-literal counts, occurrence lists and a lazy
+   max-heap of scores, so each pick costs the clauses it touches rather than
+   a rescan of the component.
+3. Solve each component exactly by DPLL-style branch and bound, starting
+   from the greedy cost: unit propagation, most-frequent-positive-literal
+   branching (False branch first), and pruning with a lower bound counting
+   variable-disjoint all-positive unsatisfied clauses.
+4. Components larger than ``exact_variable_limit`` (or exceeding the node
+   budget) keep the greedy answer.  It is still a *satisfying* assignment —
+   hence a stabilizing set — just not guaranteed minimum (the same soundness
+   remark the paper makes).
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro.exceptions import UnsatisfiableError
 from repro.solver.cnf import CNF, literal_is_positive, literal_variable
@@ -267,24 +274,67 @@ def _greedy_component(cnf: CNF) -> Dict[int, bool]:
     choosing the positive variable that fixes the most unsatisfied clauses
     terminates with a model.  On arbitrary CNFs the greedy can wedge itself; it
     then falls back to a plain DPLL model search.
+
+    Every variable starts False, so a clause starts with one true literal per
+    negative literal.  The loop keeps each clause's true-literal count, each
+    open variable's score (the unsatisfied clauses holding it positively) and
+    a lazy max-heap keyed ``(-score, variable)``: the highest score wins and
+    ties go to the smallest variable.  Setting ``v`` True satisfies each
+    clause holding ``+v`` whose count leaves 0, lowering the scores of its
+    open positive literals, and falsifies each clause holding ``-v`` whose
+    count drops to 0, raising them.
     """
+    clauses = cnf.clauses
+    positive_in: Dict[int, List[int]] = {}
+    negative_in: Dict[int, List[int]] = {}
+    true_literals: List[int] = []
+    for index, clause in enumerate(clauses):
+        negatives = 0
+        for literal in clause:
+            if literal > 0:
+                positive_in.setdefault(literal, []).append(index)
+            else:
+                negative_in.setdefault(-literal, []).append(index)
+                negatives += 1
+        true_literals.append(negatives)
     assignment: Dict[int, bool] = {}
+    scores: Dict[int, int] = {}
+    heap: List[Tuple[int, int]] = []
+
+    def rescore(index: int, change: int) -> None:
+        for literal in clauses[index]:
+            if literal > 0 and literal not in assignment:
+                score = scores.get(literal, 0) + change
+                scores[literal] = score
+                if score:
+                    heapq.heappush(heap, (-score, literal))
+
+    unsatisfied = 0
+    for index, count in enumerate(true_literals):
+        if not count:
+            unsatisfied += 1
+            rescore(index, 1)
     stuck = False
-    for _ in range(cnf.clause_count + cnf.variable_count + 1):
-        unsatisfied = cnf.unsatisfied_clauses(assignment)
-        if not unsatisfied:
-            break
-        scores: Dict[int, int] = {}
-        for clause in unsatisfied:
-            for literal in clause:
-                variable = literal_variable(literal)
-                if literal_is_positive(literal) and not assignment.get(variable, False):
-                    scores[variable] = scores.get(variable, 0) + 1
-        if not scores:
+    while unsatisfied:
+        while heap and (
+            heap[0][1] in assignment or -heap[0][0] != scores[heap[0][1]]
+        ):
+            heapq.heappop(heap)  # stale: picked already, or rescored since
+        if not heap:
             stuck = True
             break
-        chosen = max(scores, key=lambda variable: (scores[variable], -variable))
+        chosen = heapq.heappop(heap)[1]
         assignment[chosen] = True
+        for index in positive_in.get(chosen, ()):
+            true_literals[index] += 1
+            if true_literals[index] == 1:
+                unsatisfied -= 1
+                rescore(index, -1)
+        for index in negative_in.get(chosen, ()):
+            true_literals[index] -= 1
+            if not true_literals[index]:
+                unsatisfied += 1
+                rescore(index, 1)
     for variable in cnf.variables():
         assignment.setdefault(variable, False)
     if stuck or not cnf.is_satisfied_by(assignment):

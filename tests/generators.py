@@ -8,7 +8,11 @@ family of join shapes, cascade depths and comparison mixes:
 * ``tests/test_backend_differential.py`` — in-memory vs SQLite backend under
   every engine;
 * ``tests/test_property_differential.py`` — the property-based torture suite
-  built on the *spec* layer below.
+  built on the *spec* layer below;
+* ``tests/test_cnf.py``, ``tests/test_minones.py`` and
+  ``tests/test_semantics_step.py`` — the solver and step-traverse back ends
+  against their quadratic reference loops (:func:`random_cnf` feeds the
+  solver ones).
 
 Schemas are *typed* (every attribute is ``int``, matching the generated
 values) so instances survive the SQLite round trip unchanged: SQLite column
@@ -45,6 +49,7 @@ from typing import Callable, Iterator
 
 from repro.datalog.ast import Atom, Comparison, Constant, Rule, Variable
 from repro.datalog.delta import DeltaProgram
+from repro.solver.cnf import CNF
 from repro.storage.database import Database
 from repro.storage.schema import RelationSchema, Schema
 
@@ -151,6 +156,10 @@ PYTEST_SEED = int(os.environ.get("PYTEST_SEED", "0"))
 #: ``i`` of a run uses ``PYTEST_SEED * SEED_STRIDE + i``).
 SEED_STRIDE = 100003
 
+#: Multiplier for the instance counts of the property suite and the
+#: randomized reference suites (default 1; the nightly CI torture job runs 10).
+PROPERTY_SCALE = int(os.environ.get("PROPERTY_SCALE", "1"))
+
 
 def differential_seeds(count: int) -> tuple[int, ...]:
     """``count`` instance seeds rebased on ``PYTEST_SEED``.
@@ -165,6 +174,26 @@ def seed_note(seed: int, *extra) -> str:
     """Failure-message context: the exact seed (and knob) to replay a failure."""
     detail = f"seed={seed} (PYTEST_SEED={PYTEST_SEED})"
     return " ".join([detail, *map(str, extra)])
+
+
+def random_cnf(seed: int) -> CNF:
+    """A small random CNF for the solver reference suites.
+
+    1-14 variables and 1-30 clauses of width 1-4 (repeated variables
+    collapse); each literal is negative with probability 0.3, so picks of
+    the greedy hitting set regularly falsify clauses.  Some draws are
+    unsatisfiable.
+    """
+    rng = random.Random(seed)
+    variables = rng.randint(1, 14)
+    cnf = CNF()
+    for _ in range(rng.randint(1, 30)):
+        literals = set()
+        for _ in range(rng.randint(1, 4)):
+            variable = rng.randint(1, variables)
+            literals.add(-variable if rng.random() < 0.3 else variable)
+        cnf.add_clause(literals)
+    return cnf
 
 
 # ---------------------------------------------------------------------------

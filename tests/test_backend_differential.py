@@ -12,6 +12,8 @@ under *every* evaluation engine:
   deltas to the naive loop, reporting ``"naive"`` in its metadata, and runs
   every other SQLite input on the install-only path, one generation stamp
   per stage;
+* step semantics returns a stabilizing set on inputs that already record
+  deletions (closed, marked or deleted);
 * independent semantics returns minima of the same size (the Min-Ones solver
   may break ties between equal minima differently depending on clause order,
   which legitimately differs between backends), and each backend's set must
@@ -40,7 +42,7 @@ from repro.core.semantics import (
     stage_semantics,
     step_semantics,
 )
-from repro.core.stability import is_stabilizing_set
+from repro.core.stability import is_stabilizing_set, verify_repair
 from repro.datalog import DeltaProgram, EvalContext
 from repro.datalog.ast import Rule
 from repro.datalog.evaluation import find_all_assignments, run_closure
@@ -256,6 +258,27 @@ class TestSemanticsEquivalence:
                 assert_stage_runs_naive_loop(
                     db, program, seed_note(seed, label, type(db).__name__),
                 )
+
+    def test_step_recorded_deltas_are_stabilizing(self, seed):
+        # Recorded deletions are layer 0 for the facts that read them and are
+        # never pruned, so step still returns a stabilizing set.
+        memory, _, program = instance_pair(seed)
+        closed = memory.clone()
+        run_closure(closed, program)
+        marked = memory.clone()
+        deleted = memory.clone()
+        for item in sorted(memory.all_active(), key=Fact.sort_key)[::5]:
+            marked.mark_deleted(item)
+            deleted.delete(item)
+        inputs = (("closed", closed), ("marked", marked), ("deleted", deleted))
+        for label, base in inputs:
+            results = []
+            for db in (base, SQLiteDatabase.from_database(base)):
+                note = seed_note(seed, label, type(db).__name__)
+                result = step_semantics(db, program)
+                assert verify_repair(db, program, result), note
+                results.append(result.deleted)
+            assert results[0] == results[1], seed_note(seed, label)
 
     def test_stage_guarded_sqlite_takes_install_only_route(self, seed):
         _, sqlite, program = instance_pair(seed)

@@ -1,11 +1,62 @@
 """Unit tests for the Min-Ones SAT solver (repro.solver.minones)."""
 
+from typing import Dict
+
 import pytest
 
 from repro.exceptions import SolverError, UnsatisfiableError
 from repro.solver.bruteforce import solve_min_ones_bruteforce
-from repro.solver.cnf import CNF
-from repro.solver.minones import solve_min_ones
+from repro.solver.cnf import CNF, literal_is_positive, literal_variable
+from repro.solver.minones import _find_any_model, _greedy_component, solve_min_ones
+
+from tests.generators import (
+    PROPERTY_SCALE,
+    differential_seeds,
+    random_cnf,
+    seed_note,
+)
+
+#: Random CNFs checked against the rescan reference (x ``PROPERTY_SCALE``).
+CNF_SEEDS = differential_seeds(2000 * PROPERTY_SCALE)
+
+
+def rescan_greedy(cnf: CNF) -> Dict[int, bool]:
+    """Reference greedy hitting set: rescore every clause after every pick."""
+    assignment: Dict[int, bool] = {}
+    stuck = False
+    for _ in range(cnf.clause_count + cnf.variable_count + 1):
+        unsatisfied = cnf.unsatisfied_clauses(assignment)
+        if not unsatisfied:
+            break
+        scores: Dict[int, int] = {}
+        for clause in unsatisfied:
+            for literal in clause:
+                variable = literal_variable(literal)
+                if literal_is_positive(literal) and not assignment.get(variable, False):
+                    scores[variable] = scores.get(variable, 0) + 1
+        if not scores:
+            stuck = True
+            break
+        chosen = max(scores, key=lambda variable: (scores[variable], -variable))
+        assignment[chosen] = True
+    for variable in cnf.variables():
+        assignment.setdefault(variable, False)
+    if stuck or not cnf.is_satisfied_by(assignment):
+        model = _find_any_model(cnf)
+        if model is None:
+            raise UnsatisfiableError("component has no satisfying assignment")
+        for variable in cnf.variables():
+            model.setdefault(variable, False)
+        return model
+    return assignment
+
+
+def greedy_outcome(greedy, cnf: CNF):
+    """The greedy's assignment in insertion order, or the error it raised."""
+    try:
+        return list(greedy(cnf).items())
+    except UnsatisfiableError as error:
+        return type(error)
 
 
 class TestBasicSolving:
@@ -80,6 +131,39 @@ class TestAgainstBruteForce:
         ours = solve_min_ones(cnf)
         assert ours.cost == exact.cost
         assert cnf.is_satisfied_by(ours.assignment)
+
+
+class TestGreedyHittingSet:
+    def test_falsified_clause_raises_the_score_of_its_literals(self):
+        # x1 (score 2) goes first and falsifies (¬x1 ∨ x5), so x5 rises to 2
+        # and beats x4; without the rise the tie would go to x4.
+        cnf = CNF.from_clauses([[1, 2], [1, 3], [-1, 5], [4, 5]])
+        assignment = _greedy_component(cnf)
+        assert {v for v, value in assignment.items() if value} == {1, 5}
+        assert list(assignment.items())[:2] == [(1, True), (5, True)]
+
+    def test_score_tie_goes_to_the_smallest_variable(self):
+        cnf = CNF.from_clauses([[3, 2], [7, 5]])
+        assignment = _greedy_component(cnf)
+        assert {v for v, value in assignment.items() if value} == {2, 5}
+        # A component above the exact limit keeps the greedy answer.
+        result = solve_min_ones(cnf, exact_variable_limit=1)
+        assert result.true_variables == frozenset({2, 5})
+        assert not result.optimal
+
+    def test_stuck_greedy_falls_back_to_a_model_search(self):
+        # x1 (score 2) goes first and falsifies (¬x1), which has no positive
+        # literal to raise: the greedy stops and the model search takes over.
+        cnf = CNF.from_clauses([[1, 2], [1, 3], [-1]])
+        assert _greedy_component(cnf) == {1: False, 2: True, 3: True}
+
+    def test_matches_rescan_reference_on_each_component(self):
+        for seed in CNF_SEEDS:
+            simplified = random_cnf(seed).simplified()
+            for index, component in enumerate(simplified.components()):
+                assert greedy_outcome(_greedy_component, component) == (
+                    greedy_outcome(rescan_greedy, component)
+                ), seed_note(seed, f"component {index}")
 
 
 class TestFallbacks:

@@ -43,11 +43,15 @@ from repro.core.stability import is_stabilizing_set
 from repro.datalog.evaluation import run_closure
 from repro.storage.sqlite_backend import SQLiteDatabase
 
-from tests.generators import InstanceSpec, random_torture_spec, shrink_spec
+from tests.generators import (
+    PROPERTY_SCALE,
+    InstanceSpec,
+    random_torture_spec,
+    shrink_spec,
+)
 
 SEED = int(os.environ.get("PYTEST_SEED", "20260730"))
-SCALE = int(os.environ.get("PROPERTY_SCALE", "1"))
-INSTANCE_COUNT = 100 * SCALE
+INSTANCE_COUNT = 100 * PROPERTY_SCALE
 
 ENGINES = ("naive", "semi-naive")
 MAX_ROUNDS = 200

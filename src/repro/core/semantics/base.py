@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Dict
+from typing import Any, Callable, Dict
 
 from repro.storage.database import BaseDatabase
 from repro.storage.facts import Fact
@@ -54,7 +54,12 @@ class RepairResult:
         The stabilizing set ``S`` — the non-delta tuples removed from the
         database (the paper's ``σ(P, D)``).
     repaired:
-        The repaired database ``(D \\ S) ∪ Δ(S)``.
+        The repaired database ``(D \\ S) ∪ Δ(S)``.  It may be passed as a
+        zero-argument callable instead; the first read of ``repaired`` then
+        calls it once and keeps its result.  Step and independent semantics
+        pass one that builds the copy from a snapshot of the input taken
+        when the repair returned, so a caller that never reads ``repaired``
+        never pays for it, and later edits to the input do not leak into it.
     timer:
         Wall-clock phase breakdown (``eval`` / ``process_prov`` / ``solve`` /
         ``traverse`` for the provenance-based algorithms, ``eval`` otherwise).
@@ -68,10 +73,25 @@ class RepairResult:
 
     semantics: Semantics
     deleted: frozenset[Fact]
-    repaired: BaseDatabase
+    repaired: BaseDatabase | Callable[[], BaseDatabase]
     timer: PhaseTimer = field(default_factory=PhaseTimer)
     rounds: int | None = None
     metadata: Dict[str, Any] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        if callable(self.repaired):
+            self._build_repaired = self.__dict__.pop("repaired")
+
+    def __getattr__(self, name: str) -> Any:
+        # Reached only when normal lookup fails: a deferred ``repaired``.
+        build = self.__dict__.get("_build_repaired")
+        if name != "repaired" or build is None:
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}",
+            )
+        self.repaired = build()
+        del self._build_repaired
+        return self.repaired
 
     @property
     def size(self) -> int:

@@ -8,6 +8,13 @@ builds the Boolean provenance of every possible delta tuple, negates it, and
 asks a Min-Ones SAT solver for a model with the fewest deletions.  This module
 implements that algorithm on top of :mod:`repro.provenance.boolean` and
 :mod:`repro.solver`.
+
+The provenance arrives as clauses over integer variables (one per candidate
+fact, numbered in :meth:`~repro.storage.facts.Fact.sort_key` order), so they
+go into the :class:`~repro.solver.cnf.CNF` as they are, and the solver's true
+variables map back to facts through :attr:`BooleanProvenance.facts
+<repro.provenance.boolean.BooleanProvenance.facts>`.  The result's
+``repaired`` copy is built on first read, from a snapshot of the input.
 """
 
 from __future__ import annotations
@@ -24,10 +31,9 @@ from repro.core.semantics.base import (
 from repro.datalog.ast import Program, Rule
 from repro.datalog.delta import DeltaProgram
 from repro.provenance.boolean import build_boolean_provenance
-from repro.solver.cnf import CNF, FactVariableMap
+from repro.solver.cnf import CNF
 from repro.solver.minones import solve_min_ones
 from repro.storage.database import BaseDatabase, stabilized_copy
-from repro.storage.facts import Fact
 from repro.utils.timing import PhaseTimer
 
 
@@ -60,24 +66,17 @@ def independent_semantics(
             db, rules, engine=engine, context=context,
         )
 
-    # Lines 2-4: the negated provenance as a CNF over deletion variables.
+    # Lines 2-4: the negated provenance is already a CNF over the integer
+    # deletion variables; an assignment with no voidable literal means the
+    # database cannot be stabilized by deletions alone (cannot happen for
+    # well-formed delta rules, whose guard atom always contributes a literal).
     with timer.phase(PHASE_PROCESS_PROV):
-        ordered_facts: list[Fact] = sorted(
-            provenance.variables, key=lambda item: item.sort_key(),
-        )
-        mapping = FactVariableMap.from_keys(ordered_facts)
-        fact_to_var = mapping.key_to_var
         cnf = CNF()
         nontrivial = True
-        for clause in provenance.clauses:
-            literals = [fact_to_var[item] for item in sorted(clause.positives)]
-            literals += [-fact_to_var[item] for item in sorted(clause.negatives)]
+        for literals in provenance.literals:
             if literals:
-                cnf.add_clause(literals)
+                cnf.clauses.append(frozenset(literals))
             else:
-                # An assignment with no voidable literal: the database cannot be
-                # stabilized by deletions alone (cannot happen for well-formed
-                # delta rules, whose guard atom always contributes a literal).
                 nontrivial = False
 
     # Line 5: Min-Ones SAT.
@@ -86,13 +85,15 @@ def independent_semantics(
             cnf, exact_variable_limit=exact_variable_limit, node_limit=node_limit,
         )
 
-    var_to_fact = mapping.var_to_key
-    deleted = frozenset(var_to_fact[variable] for variable in solution.true_variables)
-    repaired = stabilized_copy(db, deleted)
+    facts = provenance.facts
+    deleted = frozenset(facts[variable - 1] for variable in solution.true_variables)
+    # The repaired copy is built on first read, from a snapshot of the input
+    # taken now, so later edits to ``db`` cannot leak into it.
+    snapshot = db.clone()
     return RepairResult(
         semantics=Semantics.INDEPENDENT,
         deleted=deleted,
-        repaired=repaired,
+        repaired=lambda: stabilized_copy(snapshot, deleted),
         timer=timer,
         rounds=None,
         metadata={

@@ -123,11 +123,12 @@ def _step_greedy(
     with timer.phase(PHASE_TRAVERSE):
         chosen, removed = _traverse(provenance, recorded)
 
-    repaired = stabilized_copy(db, chosen)
+    # Built on first read, from a snapshot of the input taken now.
+    snapshot = db.clone()
     return RepairResult(
         semantics=Semantics.STEP,
         deleted=frozenset(chosen),
-        repaired=repaired,
+        repaired=lambda: stabilized_copy(snapshot, chosen),
         timer=timer,
         rounds=provenance.layer_count,
         metadata={
@@ -255,11 +256,11 @@ def _step_exhaustive(
 
     if best is None:
         raise SemanticsError("exhaustive step search found no fixpoint (unexpected)")
-    repaired = stabilized_copy(db, best)
+    snapshot = db.clone()
     return RepairResult(
         semantics=Semantics.STEP,
         deleted=frozenset(best),
-        repaired=repaired,
+        repaired=lambda: stabilized_copy(snapshot, best),
         timer=timer,
         rounds=None,
         metadata={"method": "exhaustive", "states_explored": explored},

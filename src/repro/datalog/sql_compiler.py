@@ -64,6 +64,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
 from typing import Any, Dict, Iterator, List, Tuple
 
 from repro.datalog.ast import Atom, Comparison, Constant, Rule, Variable
@@ -634,44 +635,133 @@ def active_delete_sql(relation: str, arity: int) -> str:
 # ---------------------------------------------------------------------------
 
 
+class RowDecoder:
+    """How the result rows of one compiled rule map back to facts.
+
+    Each row holds, per body atom in body order, the atom's value columns
+    followed by its ``tid``.  The decoder works out once per (rule, atom
+    arities) where each atom's columns sit, which column pairs repeat a
+    variable, and which column feeds each binding and head position, so
+    decoding a row is slicing and indexing.
+
+    SQLite compares mixed-type operands through type affinity (a TEXT ``'1'``
+    joins an INTEGER ``1``), so :meth:`consistent` re-checks every repeated
+    variable in Python: each occurrence must equal the previous one.
+
+    Attributes
+    ----------
+    atoms:
+        Per body atom: ``(relation, first value column, tid column)``; the
+        value columns end where the ``tid`` column starts.
+    equal_pairs:
+        Column pairs that must hold equal values (repeated variables).
+    bindings:
+        ``(variable, column)`` by variable name.  A binding takes the
+        variable's last occurrence, as a left-to-right unification would.
+    signature:
+        ``signature(row)`` is a hashable key of the row's values, ``tid``
+        columns excluded: equal keys mean the same facts for every atom.
+    head_values:
+        ``head_values(row)`` is the values tuple of the derived head fact.
+    """
+
+    __slots__ = ("rule", "atoms", "equal_pairs", "bindings", "signature", "head_values")
+
+    def __init__(self, rule: Rule, atom_arities: Tuple[int, ...]) -> None:
+        self.rule = rule
+        atoms = []
+        pairs = []
+        latest: Dict[str, int] = {}
+        offset = 0
+        for atom, arity in zip(rule.body, atom_arities):
+            atoms.append((atom.relation, offset, offset + arity))
+            for position, term in enumerate(atom.terms):
+                if isinstance(term, Variable):
+                    if term.name in latest:
+                        pairs.append((latest[term.name], offset + position))
+                    latest[term.name] = offset + position
+            offset += arity + 1
+        self.atoms: Tuple[Tuple[str, int, int], ...] = tuple(atoms)
+        self.equal_pairs: Tuple[Tuple[int, int], ...] = tuple(pairs)
+        self.bindings: Tuple[Tuple[str, int], ...] = tuple(sorted(latest.items()))
+        self.signature = _tuple_getter(
+            [column for _, start, stop in atoms for column in range(start, stop)],
+        )
+        terms = rule.head.terms
+        if any(isinstance(term, Variable) and term.name not in latest for term in terms):
+            self.head_values = self._unbound_head
+        elif all(isinstance(term, Variable) for term in terms):
+            self.head_values = _tuple_getter([latest[term.name] for term in terms])
+        else:
+            sources = tuple(
+                (True, latest[term.name]) if isinstance(term, Variable)
+                else (False, term.value)
+                for term in terms
+            )
+            self.head_values = lambda row: tuple(
+                row[source] if is_column else source for is_column, source in sources
+            )
+
+    def consistent(self, row: tuple) -> bool:
+        """True when every repeated variable holds equal values in ``row``."""
+        for left, right in self.equal_pairs:
+            if row[left] != row[right]:
+                return False
+        return True
+
+    def _unbound_head(self, row: tuple) -> tuple:
+        """``head_values`` of an unsafe rule: raises like the in-memory path."""
+        from repro.datalog.evaluation import ground_head
+
+        return ground_head(
+            self.rule, {name: row[column] for name, column in self.bindings},
+        ).values
+
+    def assignment(self, row: tuple) -> "Assignment":
+        """The :class:`~repro.datalog.evaluation.Assignment` of a consistent row."""
+        from repro.datalog.evaluation import Assignment
+
+        rule = self.rule
+        return Assignment(
+            rule=rule,
+            bindings=tuple((name, row[column]) for name, column in self.bindings),
+            used=tuple(
+                (atom, Fact(relation, row[start:stop], tid=row[stop]))
+                for atom, (relation, start, stop) in zip(rule.body, self.atoms)
+            ),
+            derived=Fact(rule.head.relation, self.head_values(row)),
+        )
+
+
+def _tuple_getter(columns: List[int]):
+    """A C-level ``row -> tuple of row[c] for c in columns`` where possible."""
+    if len(columns) > 1:
+        return itemgetter(*columns)
+    if columns:
+        column = columns[0]
+        return lambda row: (row[column],)
+    return lambda row: ()
+
+
+@lru_cache(maxsize=1024)
+def row_decoder(rule: Rule, atom_arities: Tuple[int, ...]) -> RowDecoder:
+    """The :class:`RowDecoder` of a compiled rule, built once per shape."""
+    return RowDecoder(rule, atom_arities)
+
+
 def assignments_from_rows(
     rule: Rule, atom_arities: Tuple[int, ...], rows: Iterator[tuple],
 ) -> Iterator["Assignment"]:
     """Rebuild :class:`~repro.datalog.evaluation.Assignment` objects from rows.
 
     Each row holds, per body atom in body order, the atom's value columns
-    followed by its ``tid``.  Repeated-variable consistency is re-checked in
-    Python as a guard against SQLite's type-affinity coercions.
+    followed by its ``tid``.  Rows failing the repeated-variable re-check of
+    :meth:`RowDecoder.consistent` (SQLite type affinity) are skipped.
     """
-    from repro.datalog.evaluation import Assignment, ground_head
-
+    decoder = row_decoder(rule, atom_arities)
     for row in rows:
-        used = []
-        bindings: Dict[str, Any] = {}
-        offset = 0
-        valid = True
-        for atom, arity in zip(rule.body, atom_arities):
-            values = tuple(row[offset : offset + arity])
-            tid = row[offset + arity]
-            offset += arity + 1
-            item = Fact(atom.relation, values, tid=tid)
-            used.append((atom, item))
-            for term, value in zip(atom.terms, values):
-                if isinstance(term, Variable):
-                    if term.name in bindings and bindings[term.name] != value:
-                        valid = False
-                        break
-                    bindings[term.name] = value
-            if not valid:
-                break
-        if not valid:
-            continue
-        yield Assignment(
-            rule=rule,
-            bindings=tuple(sorted(bindings.items(), key=lambda kv: kv[0])),
-            used=tuple(used),
-            derived=ground_head(rule, bindings),
-        )
+        if decoder.consistent(row):
+            yield decoder.assignment(row)
 
 
 def find_assignments_sql(

@@ -19,16 +19,27 @@ so the negated provenance is the CNF whose clause for ``α`` is::
 
 A satisfying assignment with a minimum number of true variables is exactly the
 result of independent semantics (``Ind(P, D)``).
+
+The builder works over integer variables, the way lineage systems keep
+provenance as formulas over tuple ids.  On SQLite it decodes each row of the
+hypothetical joins straight into ``(relation, values)`` keys, so no
+:class:`~repro.storage.facts.Fact` or assignment object is built per row; in
+memory it maps each assignment's facts to ids.  Variables are numbered in
+:meth:`Fact.sort_key` order and one :class:`Fact` is built per variable
+(:attr:`BooleanProvenance.facts`).  The fact-level view — :class:`Clause`
+objects, :attr:`~BooleanProvenance.variables` and the checks built on them —
+is derived on first use, for explanations and tests.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Sequence
+from functools import cached_property
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from repro.datalog.ast import Program, Rule
 from repro.datalog.delta import DeltaProgram
-from repro.datalog.evaluation import Assignment, find_assignments
+from repro.datalog.evaluation import find_assignments
 from repro.storage.database import BaseDatabase
 from repro.storage.facts import Fact
 
@@ -75,57 +86,62 @@ class Clause:
 class BooleanProvenance:
     """The Boolean provenance of a (database, delta program) pair.
 
+    Clause ``i`` is the negated provenance of one hypothetical assignment.
+
     Attributes
     ----------
-    clauses:
-        The CNF clauses of the negated provenance (one per hypothetical
-        assignment).
-    dnf_by_tuple:
-        The positive DNF provenance per derivable delta tuple: for each head
-        fact, the list of assignments that can derive it.  This is the paper's
-        ``Prov(t)`` before negation, kept for explanations and tests.
-    variables:
-        Every fact that occurs in some clause (candidate deletions).
+    facts:
+        The variables: variable ``v`` stands for deleting ``facts[v - 1]``.
+        Numbered in :meth:`Fact.sort_key` order.
+    literals:
+        Per clause, its signed literals: ``+v`` for each base-atom fact
+        (deleting it voids the assignment) in increasing ``v``, then ``-v``
+        for each delta-atom fact not already deleted (keeping it voids the
+        assignment), also in increasing ``v``.  This is the CNF handed to the
+        Min-Ones solver.
+    origins:
+        Per clause, the rule's display name and the ``(relation, values)``
+        key of the delta tuple the assignment derives.
     """
 
-    clauses: List[Clause] = field(default_factory=list)
-    dnf_by_tuple: Dict[Fact, List[Assignment]] = field(default_factory=dict)
-    variables: set[Fact] = field(default_factory=set)
+    facts: Tuple[Fact, ...] = ()
+    literals: List[Tuple[int, ...]] = field(default_factory=list)
+    origins: List[Tuple[str, Tuple[str, tuple]]] = field(default_factory=list)
 
-    def add_assignment(
-        self, assignment: Assignment, already_deleted: set[Fact]
-    ) -> None:
-        """Record one hypothetical assignment as a DNF clause and a CNF clause."""
-        self.dnf_by_tuple.setdefault(assignment.derived, []).append(assignment)
-        positives = frozenset(assignment.base_facts())
-        # A delta atom that matched a fact already recorded as deleted is a
-        # constant-true literal of the positive provenance, so it contributes
-        # nothing to the negated clause (it can never be "kept" again).
-        negatives = frozenset(
-            item for item in assignment.delta_facts() if item not in already_deleted
-        )
-        clause = Clause(
-            positives=positives,
-            negatives=negatives,
-            rule_name=assignment.rule.display_name(),
-            derived=assignment.derived,
-        )
-        self.clauses.append(clause)
-        self.variables |= clause.variables()
+    # -- fact-level view (built on first use) ----------------------------------
+
+    @cached_property
+    def clauses(self) -> List[Clause]:
+        """The CNF clauses as :class:`Clause` objects over facts."""
+        facts = self.facts
+        return [
+            Clause(
+                positives=frozenset(facts[v - 1] for v in literals if v > 0),
+                negatives=frozenset(facts[-v - 1] for v in literals if v < 0),
+                rule_name=rule_name,
+                derived=Fact(*derived),
+            )
+            for literals, (rule_name, derived) in zip(self.literals, self.origins)
+        ]
+
+    @cached_property
+    def variables(self) -> frozenset[Fact]:
+        """Every fact that occurs in some clause (candidate deletions)."""
+        return frozenset(self.facts)
 
     # -- inspection -----------------------------------------------------------
 
     def clause_count(self) -> int:
         """Number of CNF clauses (hypothetical assignments)."""
-        return len(self.clauses)
+        return len(self.literals)
 
     def variable_count(self) -> int:
         """Number of distinct facts mentioned by the provenance."""
-        return len(self.variables)
+        return len(self.facts)
 
     def derivable_tuples(self) -> frozenset[Fact]:
         """All delta tuples with at least one hypothetical derivation."""
-        return frozenset(self.dnf_by_tuple)
+        return frozenset(Fact(*derived) for _rule_name, derived in self.origins)
 
     def is_voided_by(self, deleted: Iterable[Fact]) -> bool:
         """True when deleting ``deleted`` voids every assignment (satisfies the CNF)."""
@@ -148,6 +164,13 @@ class BooleanProvenance:
         return "\n".join(lines)
 
 
+#: A clause before numbering: the first-seen ids of its base-atom facts and
+#: of its not-yet-deleted delta-atom facts.
+_RawClause = Tuple[List[int], List[int]]
+#: What the collectors return: facts by first-seen id, raw clauses, origins.
+_Collected = Tuple[List[Fact], List[_RawClause], List[Tuple[str, Tuple[str, tuple]]]]
+
+
 def build_boolean_provenance(
     db: BaseDatabase,
     program: DeltaProgram | Program | Sequence[Rule],
@@ -159,7 +182,9 @@ def build_boolean_provenance(
     Delta atoms in rule bodies are evaluated *hypothetically*: they may match
     the delta counterpart of any tuple of ``db``, not only tuples already
     recorded as deleted.  This captures every potential cascade without
-    committing to an operational semantics.
+    committing to an operational semantics.  A delta atom matching a tuple
+    already recorded as deleted is a constant-true literal of the positive
+    provenance, so it contributes nothing to the negated clause.
 
     The hypothetical evaluation is a single pass (no fixpoint), so ``engine``
     only controls join planning: the default plans each rule's joins once and
@@ -170,22 +195,143 @@ def build_boolean_provenance(
     databases both engines evaluate through compiled SQL joins (the planner
     is bypassed), so the knob only validates; unknown names raise
     :class:`~repro.exceptions.UnknownEngineError` either way.
+
+    Clauses come in rule order, then in the order the joins enumerate the
+    assignments; each fact enters :attr:`BooleanProvenance.facts` with the
+    ``tid`` of its first clause.
     """
     from repro.datalog.evaluation import ENGINE_NAIVE, resolve_engine
     from repro.storage.sqlite_backend import SQLiteDatabase
 
-    planner = None
-    if resolve_engine(db, engine) != ENGINE_NAIVE and not isinstance(
-        db, SQLiteDatabase,
-    ):
-        from repro.datalog.planner import JoinPlanner
+    naive = resolve_engine(db, engine) == ENGINE_NAIVE
+    if isinstance(db, SQLiteDatabase):
+        collected = _sqlite_clauses(db, program)
+    else:
+        planner = None
+        if not naive:
+            from repro.datalog.planner import JoinPlanner
 
-        planner = context.planner(db) if context is not None else JoinPlanner(db)
-    provenance = BooleanProvenance()
+            planner = context.planner(db) if context is not None else JoinPlanner(db)
+        collected = _memory_clauses(db, program, planner)
+    return _numbered(*collected)
+
+
+def _memory_clauses(db: BaseDatabase, program: Iterable[Rule], planner) -> _Collected:
+    """Raw clauses of the in-memory hypothetical joins, one per assignment."""
     already_deleted = set(db.all_deltas())
+    ids: Dict[Fact, int] = {}
+    table: List[Fact] = []
+    raw: List[_RawClause] = []
+    origins = []
     for rule in program:
+        rule_name = rule.display_name()
         for assignment in find_assignments(
             db, rule, hypothetical_deltas=True, planner=planner,
         ):
-            provenance.add_assignment(assignment, already_deleted)
-    return provenance
+            positives: List[int] = []
+            negatives: List[int] = []
+            for atom, item in assignment.used:
+                if atom.is_delta and item in already_deleted:
+                    continue
+                variable = ids.get(item)
+                if variable is None:
+                    variable = ids[item] = len(table)
+                    table.append(item)
+                (negatives if atom.is_delta else positives).append(variable)
+            raw.append((positives, negatives))
+            derived = assignment.derived
+            origins.append((rule_name, (derived.relation, derived.values)))
+    return table, raw, origins
+
+
+def _sqlite_clauses(db, program: Iterable[Rule]) -> _Collected:
+    """Raw clauses decoded from the rows of the hypothetical SQL joins.
+
+    A rule with ``k`` delta atoms runs ``2^k`` queries (each delta atom reads
+    the active or the delta table); an assignment found by several of them is
+    kept once, by its value columns.
+    """
+    from repro.datalog.sql_compiler import compile_rule, row_decoder
+
+    already_deleted: Dict[str, set] = {}
+    for item in db.all_deltas():
+        already_deleted.setdefault(item.relation, set()).add(item.values)
+    ids: Dict[str, Dict[tuple, int]] = {}
+    table: List[Fact] = []
+    raw: List[_RawClause] = []
+    origins = []
+    for rule in program:
+        queries = compile_rule(rule, hypothetical_deltas=True)
+        decoder = row_decoder(rule, queries[0].atom_arities)
+        rule_name = rule.display_name()
+        head_relation = rule.head.relation
+        # Per atom: its relation's id map, relation, value columns and (for
+        # delta atoms) the values already recorded as deleted.
+        base = []
+        delta = []
+        for atom, (relation, start, stop) in zip(rule.body, decoder.atoms):
+            known = ids.setdefault(relation, {})
+            if atom.is_delta:
+                delta.append((known, relation, start, stop, already_deleted.get(relation, ())))
+            else:
+                base.append((known, relation, start, stop))
+        consistent = decoder.consistent
+        head_values = decoder.head_values
+        signature = decoder.signature
+        seen = set() if len(queries) > 1 else None
+        for query in queries:
+            for row in db.execute(query.sql, query.params):
+                if not consistent(row):
+                    continue
+                if seen is not None:
+                    key = signature(row)
+                    if key in seen:
+                        continue
+                    seen.add(key)
+                positives: List[int] = []
+                for known, relation, start, stop in base:
+                    values = row[start:stop]
+                    variable = known.get(values)
+                    if variable is None:
+                        variable = known[values] = len(table)
+                        table.append(Fact(relation, values, tid=row[stop]))
+                    positives.append(variable)
+                negatives: List[int] = []
+                for known, relation, start, stop, deleted in delta:
+                    values = row[start:stop]
+                    if values in deleted:
+                        continue
+                    variable = known.get(values)
+                    if variable is None:
+                        variable = known[values] = len(table)
+                        table.append(Fact(relation, values, tid=row[stop]))
+                    negatives.append(variable)
+                raw.append((positives, negatives))
+                origins.append((rule_name, (head_relation, head_values(row))))
+    return table, raw, origins
+
+
+def _numbered(
+    table: List[Fact], raw: List[_RawClause], origins: List[Tuple[str, Tuple[str, tuple]]],
+) -> BooleanProvenance:
+    """Number the facts in :meth:`Fact.sort_key` order and rewrite the clauses.
+
+    ``table`` lists the facts by first-seen id; ties in ``sort_key`` keep
+    that order.
+    """
+    keys = [item.sort_key() for item in table]
+    order = sorted(range(len(table)), key=keys.__getitem__)
+    number = [0] * len(table)
+    for variable, index in enumerate(order, 1):
+        number[index] = variable
+    renumber = number.__getitem__
+    literals = []
+    for positives, negatives in raw:
+        if len(positives) == 1 and len(negatives) == 1:
+            # The common shape (a guard atom and one delta atom), unsorted.
+            literals.append((renumber(positives[0]), -renumber(negatives[0])))
+            continue
+        clause = sorted(set(map(renumber, positives)))
+        clause += [-variable for variable in sorted(set(map(renumber, negatives)))]
+        literals.append(tuple(clause))
+    return BooleanProvenance(tuple(table[index] for index in order), literals, origins)

@@ -11,7 +11,7 @@ independently (costs are additive across components).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List
 
 from repro.exceptions import SolverError
 
@@ -178,28 +178,3 @@ class CNF:
             return "(" + " ∨ ".join(parts) + ")"
 
         return " ∧ ".join(render(clause) for clause in self.clauses) or "⊤"
-
-
-@dataclass(frozen=True)
-class FactVariableMap:
-    """Bidirectional mapping between facts (or any hashable keys) and SAT variables."""
-
-    to_variable: Tuple[Tuple[object, int], ...]
-
-    @classmethod
-    def from_keys(cls, keys: Sequence[object]) -> "FactVariableMap":
-        """Assign variables 1..n to ``keys`` in the given order."""
-        return cls(tuple((key, index + 1) for index, key in enumerate(keys)))
-
-    @property
-    def key_to_var(self) -> Dict[object, int]:
-        """Mapping from key to variable."""
-        return dict(self.to_variable)
-
-    @property
-    def var_to_key(self) -> Dict[int, object]:
-        """Mapping from variable to key."""
-        return {variable: key for key, variable in self.to_variable}
-
-    def __len__(self) -> int:
-        return len(self.to_variable)

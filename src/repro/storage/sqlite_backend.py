@@ -100,6 +100,22 @@ class SQLiteDatabase(BaseDatabase):
     """
 
     def __init__(self, schema: Schema, path: str = ":memory:") -> None:
+        self._open(schema, path)
+        self._create_tables()
+        #: Monotone generation counter backing the frontier tables.  Reopening
+        #: a file-backed database must resume after the persisted stamps, or
+        #: new deltas would collide with (and frontier windows exclude) the
+        #: facts recorded by the previous session.
+        self._generation = self._max_persisted_generation()
+        if path != ":memory:":
+            # A file written by an interrupted session may violate the
+            # d_R ↔ f_R mirror invariant (a kill between the install and the
+            # delta copy, or between the delta insert and the frontier stamp);
+            # restore it before any consumer takes a frontier token.
+            self._reconcile_frontier()
+
+    def _open(self, schema: Schema, path: str) -> None:
+        """Open the connection with this engine's pragmas; no DDL runs here."""
         self._schema = schema
         self._path = path
         # Autocommit mode: every statement commits immediately, so the backup
@@ -132,18 +148,6 @@ class SQLiteDatabase(BaseDatabase):
         #: wcoj covering-index statements already applied through this
         #: connection (see :meth:`ensure_wcoj_indexes`).
         self._wcoj_indexes: set[str] = set()
-        self._create_tables()
-        #: Monotone generation counter backing the frontier tables.  Reopening
-        #: a file-backed database must resume after the persisted stamps, or
-        #: new deltas would collide with (and frontier windows exclude) the
-        #: facts recorded by the previous session.
-        self._generation = self._max_persisted_generation()
-        if path != ":memory:":
-            # A file written by an interrupted session may violate the
-            # d_R ↔ f_R mirror invariant (a kill between the install and the
-            # delta copy, or between the delta insert and the frontier stamp);
-            # restore it before any consumer takes a frontier token.
-            self._reconcile_frontier()
 
     # -- schema / DDL ---------------------------------------------------------
 
@@ -417,9 +421,20 @@ class SQLiteDatabase(BaseDatabase):
     # -- lifecycle -----------------------------------------------------------------
 
     def clone(self) -> "SQLiteDatabase":
-        copy = SQLiteDatabase(self._schema)
-        # The backup API copies all three table families (and their indexes)
-        # page-wise, orders of magnitude faster than re-inserting row by row.
+        """An in-memory copy of the database, made by SQLite's backup API.
+
+        The backup copies the main database page-wise: all three table
+        families, their indexes (wcoj covering indexes included) and the
+        ``_repro_assign*`` store.  The copy's connection is opened with the
+        in-memory pragmas and receives the pages directly, so no table is
+        created only to be overwritten; the generation counter carries over,
+        so the next :meth:`mark_deleted` stamps above every copied row.
+        Connection-local state starts empty: temp stage tables are not
+        copied (they are recreated on first use) and statement hooks are not
+        inherited.
+        """
+        copy = SQLiteDatabase.__new__(SQLiteDatabase)
+        copy._open(self._schema, ":memory:")
         self._connection.backup(copy._connection)
         copy._generation = self._generation
         return copy

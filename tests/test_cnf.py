@@ -7,7 +7,6 @@ import pytest
 from repro.exceptions import SolverError
 from repro.solver.cnf import (
     CNF,
-    FactVariableMap,
     literal_is_positive,
     literal_variable,
 )
@@ -120,11 +119,3 @@ class TestCNF:
         text = str(CNF.from_clauses([[1, -2]]))
         assert "x1" in text and "¬x2" in text
         assert str(CNF()) == "⊤"
-
-
-class TestFactVariableMap:
-    def test_round_trip(self):
-        mapping = FactVariableMap.from_keys(["a", "b", "c"])
-        assert mapping.key_to_var == {"a": 1, "b": 2, "c": 3}
-        assert mapping.var_to_key[2] == "b"
-        assert len(mapping) == 3

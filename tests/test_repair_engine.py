@@ -1,5 +1,7 @@
 """Unit tests for the public RepairEngine API, stability helpers, and containment."""
 
+import importlib
+
 import pytest
 
 from repro import (
@@ -14,9 +16,16 @@ from repro import (
     verify_repair,
 )
 from repro.core.containment import ContainmentReport
-from repro.core.semantics import compute_repair
+from repro.core.semantics import (
+    RepairResult,
+    compute_repair,
+    independent_semantics,
+    step_semantics,
+)
 from repro.core.stability import violating_assignments
 from repro.exceptions import ProgramValidationError
+from repro.storage.database import stabilized_copy
+from repro.storage.sqlite_backend import SQLiteDatabase
 from repro.utils.timing import PhaseTimer
 
 from tests.conftest import PAPER_PROGRAM_TEXT, make_paper_database
@@ -127,6 +136,101 @@ class TestRepairResult:
         db, program = simple_setup
         results = RepairEngine(db, program).repair_all()
         assert results[Semantics.END].contains(results[Semantics.STAGE])
+
+    def test_deferred_repaired_is_built_once_on_first_read(self, simple_setup):
+        db, program = simple_setup
+        builds = []
+
+        def build():
+            builds.append(1)
+            return db.clone()
+
+        result = RepairResult(Semantics.END, frozenset(), repaired=build)
+        assert builds == []
+        first = result.repaired
+        assert result.repaired is first
+        assert builds == [1]
+        with pytest.raises(AttributeError):
+            result.missing_attribute
+
+
+#: The repairs whose ``repaired`` copy is deferred, by name.
+DEFERRED = {
+    "step-greedy": lambda db, program: step_semantics(db, program),
+    "step-exhaustive": lambda db, program: step_semantics(
+        db, program, method="exhaustive",
+    ),
+    "independent": independent_semantics,
+}
+
+
+def choice_instance(backend: str):
+    """A small cascade whose repairs choose between the A and B tuples."""
+    schema = Schema.from_arities({"A": 1, "B": 1, "C": 1})
+    db = Database.from_dicts(
+        schema, {"A": [(1,), (2,)], "B": [(1,), (2,)], "C": [(1,)]},
+    )
+    program = DeltaProgram.from_text(
+        """
+        delta A(x) :- A(x), B(x).
+        delta B(x) :- A(x), B(x).
+        delta C(x) :- C(x), delta A(x).
+        """,
+    )
+    if backend == "sqlite":
+        db = SQLiteDatabase.from_database(db)
+    return db, program
+
+
+class TestRepairedOnDemand:
+    """Step and independent build ``repaired`` on first read, from a snapshot."""
+
+    @pytest.mark.parametrize("backend", ["memory", "sqlite"])
+    @pytest.mark.parametrize("method", sorted(DEFERRED))
+    def test_repaired_is_the_stabilized_copy(self, backend, method):
+        db, program = choice_instance(backend)
+        result = DEFERRED[method](db, program)
+        assert result.deleted
+        assert result.repaired.same_state_as(stabilized_copy(db, result.deleted))
+        assert result.repaired is result.repaired
+        assert verify_repair(db, program, result)
+
+    @pytest.mark.parametrize("backend", ["memory", "sqlite"])
+    @pytest.mark.parametrize("method", sorted(DEFERRED))
+    def test_later_edits_to_the_input_do_not_leak(self, backend, method):
+        db, program = choice_instance(backend)
+        result = DEFERRED[method](db, program)
+        expected = stabilized_copy(db, result.deleted)
+        db.insert(fact("C", 3))
+        db.delete(fact("B", 2))
+        db.drop_active(fact("A", 1))
+        assert result.repaired.same_state_as(expected)
+        assert not result.repaired.has_active(fact("C", 3))
+
+    @pytest.mark.parametrize("method", sorted(DEFERRED))
+    def test_first_read_calls_the_module_level_stabilized_copy(
+        self, monkeypatch, method,
+    ):
+        # The benchmark trace rebinds ``stabilized_copy`` in the semantics
+        # modules, so the deferred build must look the name up there.
+        module = importlib.import_module(
+            "repro.core.semantics."
+            + ("independent" if method == "independent" else "step"),
+        )
+        original = module.stabilized_copy
+        calls = []
+
+        def counting(db, deleted):
+            calls.append(1)
+            return original(db, deleted)
+
+        monkeypatch.setattr(module, "stabilized_copy", counting)
+        db, program = choice_instance("memory")
+        result = DEFERRED[method](db, program)
+        searched = len(calls)  # the exhaustive search builds states too
+        result.repaired
+        result.repaired
+        assert len(calls) == searched + 1
 
 
 class TestStabilityHelpers:

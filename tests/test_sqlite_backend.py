@@ -3,6 +3,9 @@
 import pytest
 
 from repro.datalog import DeltaProgram, find_assignments, run_closure
+from repro.datalog.parser import parse_rule
+from repro.datalog.planner import PLAN_WCOJ
+from repro.datalog.sql_compiler import compile_frontier_rule
 from repro.exceptions import ArityMismatchError, StorageError, UnknownRelationError
 from repro.storage.database import Database
 from repro.storage.facts import fact
@@ -228,6 +231,114 @@ class TestWALMode:
         assert self._journal_mode(copy) == "memory"
         assert copy.same_state_as(db)
         db.close()
+
+
+class TestClone:
+    """``clone()`` backs up into a bare connection: no DDL, no counter scan."""
+
+    @pytest.fixture
+    def no_ddl(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("clone() must not run table or counter set-up")
+
+        monkeypatch.setattr(SQLiteDatabase, "_create_tables", refuse)
+        monkeypatch.setattr(SQLiteDatabase, "_max_persisted_generation", refuse)
+
+    def test_clone_runs_no_table_setup(self, db: SQLiteDatabase, no_ddl):
+        db.delete(fact("S", 1))
+        copy = db.clone()
+        assert copy.same_state_as(db)
+        assert copy.path == ":memory:"
+
+    def test_clone_of_file_database_is_memory_journaled(self, schema, tmp_path):
+        source = SQLiteDatabase(schema, path=str(tmp_path / "wal_clone.db"))
+        source.insert_all([fact("R", 1, "a"), fact("S", 1)])
+        source.mark_deleted(fact("S", 1))
+        assert source.execute("PRAGMA journal_mode").fetchone()[0].lower() == "wal"
+        copy = source.clone()
+        assert copy.path == ":memory:"
+        assert copy.execute("PRAGMA journal_mode").fetchone()[0].lower() == "memory"
+        assert copy.same_state_as(source)
+        copy.insert(fact("R", 2, "b"))
+        assert not source.has_active(fact("R", 2, "b"))
+        source.close()
+
+    def test_generation_carries_over_and_next_stamp_is_above(
+        self, db: SQLiteDatabase, no_ddl,
+    ):
+        db.mark_deleted(fact("R", 1, "a"))
+        db.mark_deleted(fact("S", 1))
+        before = db.generation()
+        copy = db.clone()
+        assert copy.generation() == before
+        copy.mark_deleted(fact("R", 2, "b"))
+        (stamp,) = copy.execute(
+            f"SELECT gen FROM {frontier_table('R')} WHERE c0 = 2",
+        ).fetchone()
+        assert stamp > before
+        assert copy.delta_added_since("R", before) == [fact("R", 2, "b")]
+
+    def test_staged_closure_on_clone_of_a_staging_source(self, schema):
+        program = DeltaProgram.from_text(
+            """
+            delta R(x, y) :- R(x, y), S(x).
+            delta S(x) :- S(x), delta R(x, y).
+            """,
+        )
+        memory = Database.from_dicts(
+            schema, {"R": [(1, "a"), (2, "b")], "S": [(1,), (2,)]},
+        )
+        source = SQLiteDatabase.from_database(memory)
+        for width in range(1, 16):
+            source.ensure_stage_table(width)
+        # Stage tables are temp tables of the source's connection: the clone
+        # has none and must create its own on first use.
+        copy = source.clone()
+        staged = run_closure(copy, program, collect_assignments=True)
+        expected = run_closure(memory, program, collect_assignments=True)
+        assert staged.assignments
+        assert {a.signature() for a in staged.assignments} == {
+            a.signature() for a in expected.assignments
+        }
+        assert copy.same_state_as(memory)
+
+    def test_wcoj_covering_indexes_are_copied(self):
+        triangle_schema = Schema.from_relations([RelationSchema.of("E", "a:int", "b:int")])
+        source = SQLiteDatabase(triangle_schema)
+        source.insert_all([fact("E", 1, 2), fact("E", 2, 3), fact("E", 3, 1)])
+        full, _ = compile_frontier_rule(
+            parse_rule("delta E(x, y) :- E(x, y), E(y, z), E(z, x)."),
+            plan_kind=PLAN_WCOJ,
+        )
+        assert source.ensure_wcoj_indexes(full.wcoj_index_sql) > 0
+
+        def indexes(database):
+            rows = database.execute(
+                "SELECT name FROM sqlite_master WHERE type = 'index'",
+            ).fetchall()
+            return {name for (name,) in rows}
+
+        copy = source.clone()
+        assert indexes(copy) == indexes(source)
+        # The clone's own first run re-issues the idempotent DDL.
+        assert copy.ensure_wcoj_indexes(full.wcoj_index_sql) == len(full.wcoj_index_sql)
+
+    def test_statement_hooks_are_not_inherited(self, db: SQLiteDatabase):
+        seen = []
+        db.add_statement_hook(seen.append)
+        copy = db.clone()
+        copy.execute("SELECT 1")
+        assert seen == []
+        db.execute("SELECT 2")
+        assert seen == ["SELECT 2"]
+
+    def test_clone_of_a_clone(self, db: SQLiteDatabase, no_ddl):
+        db.delete(fact("S", 1))
+        copy = db.clone().clone()
+        assert copy.same_state_as(db)
+        assert copy.generation() == db.generation()
+        copy.delete(fact("R", 1, "a"))
+        assert not db.has_delta(fact("R", 1, "a"))
 
 
 class TestFileBackedResume:

@@ -196,9 +196,10 @@ def build_boolean_provenance(
     is bypassed), so the knob only validates; unknown names raise
     :class:`~repro.exceptions.UnknownEngineError` either way.
 
-    Clauses come in rule order, then in the order the joins enumerate the
-    assignments; each fact enters :attr:`BooleanProvenance.facts` with the
-    ``tid`` of its first clause.
+    Clauses come sorted by their literal tuples, so neither the rule order
+    nor the order the joins enumerate assignments shows in the CNF.  Each
+    fact enters :attr:`BooleanProvenance.facts` with the ``tid`` of the first
+    assignment that uses it.
     """
     from repro.datalog.evaluation import ENGINE_NAIVE, resolve_engine
     from repro.storage.sqlite_backend import SQLiteDatabase
@@ -317,7 +318,11 @@ def _numbered(
     """Number the facts in :meth:`Fact.sort_key` order and rewrite the clauses.
 
     ``table`` lists the facts by first-seen id; ties in ``sort_key`` keep
-    that order.
+    that order.  The clauses come out in a canonical order, a stable sort on
+    their literal tuples: the joins enumerate in-memory matches in the order
+    of hash-ordered fact sets, and the solver's search (hence its node count)
+    follows clause order, so without the sort its statistics would depend on
+    ``PYTHONHASHSEED``.
     """
     keys = [item.sort_key() for item in table]
     order = sorted(range(len(table)), key=keys.__getitem__)
@@ -328,10 +333,15 @@ def _numbered(
     literals = []
     for positives, negatives in raw:
         if len(positives) == 1 and len(negatives) == 1:
-            # The common shape (a guard atom and one delta atom), unsorted.
+            # The common shape (a guard atom and one delta atom) needs no sort.
             literals.append((renumber(positives[0]), -renumber(negatives[0])))
             continue
         clause = sorted(set(map(renumber, positives)))
         clause += [-variable for variable in sorted(set(map(renumber, negatives)))]
         literals.append(tuple(clause))
-    return BooleanProvenance(tuple(table[index] for index in order), literals, origins)
+    canonical = sorted(range(len(literals)), key=literals.__getitem__)
+    return BooleanProvenance(
+        tuple(table[index] for index in order),
+        [literals[index] for index in canonical],
+        [origins[index] for index in canonical],
+    )

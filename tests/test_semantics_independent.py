@@ -1,5 +1,11 @@
 """Unit tests for independent semantics (Algorithm 1)."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 from repro.core.semantics import Semantics, independent_semantics
 from repro.core.stability import (
     is_stabilizing_set,
@@ -122,3 +128,41 @@ class TestSmallInstances:
         result = independent_semantics(db, program, exact_variable_limit=1)
         assert not result.metadata["optimal"]
         assert is_stabilizing_set(db, program, result.deleted)
+
+
+#: Runs independent semantics on the inputs whose solver statistics once
+#: followed the hash order of fact sets, and prints deleted sets and metadata.
+HASH_SEED_PROBE = """
+import json, random
+from repro.core.semantics import independent_semantics
+from tests.generators import random_instance, random_torture_spec
+
+inputs = {f"instance {seed}": random_instance(seed) for seed in (65, 81, 101, 138, 174)}
+inputs["torture spec 50"] = random_torture_spec(random.Random(50)).build()
+report = {}
+for name, (db, program) in inputs.items():
+    result = independent_semantics(db, program)
+    report[name] = {
+        "deleted": sorted(repr(item) for item in result.deleted),
+        "metadata": result.metadata,
+    }
+print(json.dumps(report, sort_keys=True))
+"""
+
+
+class TestHashSeedIndependence:
+    def test_results_and_metadata_do_not_depend_on_the_hash_seed(self):
+        root = Path(__file__).resolve().parents[1]
+        reports = []
+        for hash_seed in ("0", "5"):
+            env = dict(
+                os.environ,
+                PYTHONHASHSEED=hash_seed,
+                PYTHONPATH=os.pathsep.join([str(root / "src"), str(root)]),
+            )
+            completed = subprocess.run(
+                [sys.executable, "-c", HASH_SEED_PROBE],
+                cwd=root, env=env, capture_output=True, text=True, check=True,
+            )
+            reports.append(json.loads(completed.stdout))
+        assert reports[0] == reports[1]

@@ -71,13 +71,8 @@ def independent_semantics(
     # database cannot be stabilized by deletions alone (cannot happen for
     # well-formed delta rules, whose guard atom always contributes a literal).
     with timer.phase(PHASE_PROCESS_PROV):
-        cnf = CNF()
-        nontrivial = True
-        for literals in provenance.literals:
-            if literals:
-                cnf.clauses.append(frozenset(literals))
-            else:
-                nontrivial = False
+        cnf = CNF([frozenset(literals) for literals in provenance.literals if literals])
+        nontrivial = all(provenance.literals)
 
     # Line 5: Min-Ones SAT.
     with timer.phase(PHASE_SOLVE):

@@ -39,9 +39,11 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 
 from repro.datalog.ast import Program, Rule
 from repro.datalog.delta import DeltaProgram
-from repro.datalog.evaluation import find_assignments
+from repro.datalog.evaluation import ENGINE_NAIVE, find_assignments, resolve_engine
+from repro.datalog.sql_compiler import compile_rule, row_decoder
 from repro.storage.database import BaseDatabase
 from repro.storage.facts import Fact
+from repro.storage.sqlite_backend import SQLiteDatabase
 
 
 @dataclass(frozen=True)
@@ -82,6 +84,11 @@ class Clause:
         return " ∨ ".join(parts) if parts else "⊥"
 
 
+#: A clause's origin: its rule's display name and the ``(relation, values)``
+#: key of the delta tuple its assignment derives.
+_Origin = Tuple[str, Tuple[str, tuple]]
+
+
 @dataclass
 class BooleanProvenance:
     """The Boolean provenance of a (database, delta program) pair.
@@ -106,7 +113,7 @@ class BooleanProvenance:
 
     facts: Tuple[Fact, ...] = ()
     literals: List[Tuple[int, ...]] = field(default_factory=list)
-    origins: List[Tuple[str, Tuple[str, tuple]]] = field(default_factory=list)
+    origins: List[_Origin] = field(default_factory=list)
 
     # -- fact-level view (built on first use) ----------------------------------
 
@@ -168,7 +175,7 @@ class BooleanProvenance:
 #: of its not-yet-deleted delta-atom facts.
 _RawClause = Tuple[List[int], List[int]]
 #: What the collectors return: facts by first-seen id, raw clauses, origins.
-_Collected = Tuple[List[Fact], List[_RawClause], List[Tuple[str, Tuple[str, tuple]]]]
+_Collected = Tuple[List[Fact], List[_RawClause], List[_Origin]]
 
 
 def build_boolean_provenance(
@@ -201,20 +208,15 @@ def build_boolean_provenance(
     fact enters :attr:`BooleanProvenance.facts` with the ``tid`` of the first
     assignment that uses it.
     """
-    from repro.datalog.evaluation import ENGINE_NAIVE, resolve_engine
-    from repro.storage.sqlite_backend import SQLiteDatabase
-
     naive = resolve_engine(db, engine) == ENGINE_NAIVE
     if isinstance(db, SQLiteDatabase):
-        collected = _sqlite_clauses(db, program)
-    else:
-        planner = None
-        if not naive:
-            from repro.datalog.planner import JoinPlanner
+        return _numbered(*_sqlite_clauses(db, program))
+    planner = None
+    if not naive:
+        from repro.datalog.planner import JoinPlanner
 
-            planner = context.planner(db) if context is not None else JoinPlanner(db)
-        collected = _memory_clauses(db, program, planner)
-    return _numbered(*collected)
+        planner = context.planner(db) if context is not None else JoinPlanner(db)
+    return _numbered(*_memory_clauses(db, program, planner))
 
 
 def _memory_clauses(db: BaseDatabase, program: Iterable[Rule], planner) -> _Collected:
@@ -223,7 +225,7 @@ def _memory_clauses(db: BaseDatabase, program: Iterable[Rule], planner) -> _Coll
     ids: Dict[Fact, int] = {}
     table: List[Fact] = []
     raw: List[_RawClause] = []
-    origins = []
+    origins: List[_Origin] = []
     for rule in program:
         rule_name = rule.display_name()
         for assignment in find_assignments(
@@ -245,22 +247,20 @@ def _memory_clauses(db: BaseDatabase, program: Iterable[Rule], planner) -> _Coll
     return table, raw, origins
 
 
-def _sqlite_clauses(db, program: Iterable[Rule]) -> _Collected:
+def _sqlite_clauses(db: SQLiteDatabase, program: Iterable[Rule]) -> _Collected:
     """Raw clauses decoded from the rows of the hypothetical SQL joins.
 
     A rule with ``k`` delta atoms runs ``2^k`` queries (each delta atom reads
     the active or the delta table); an assignment found by several of them is
     kept once, by its value columns.
     """
-    from repro.datalog.sql_compiler import compile_rule, row_decoder
-
     already_deleted: Dict[str, set] = {}
     for item in db.all_deltas():
         already_deleted.setdefault(item.relation, set()).add(item.values)
     ids: Dict[str, Dict[tuple, int]] = {}
     table: List[Fact] = []
     raw: List[_RawClause] = []
-    origins = []
+    origins: List[_Origin] = []
     for rule in program:
         queries = compile_rule(rule, hypothetical_deltas=True)
         decoder = row_decoder(rule, queries[0].atom_arities)
@@ -313,7 +313,7 @@ def _sqlite_clauses(db, program: Iterable[Rule]) -> _Collected:
 
 
 def _numbered(
-    table: List[Fact], raw: List[_RawClause], origins: List[Tuple[str, Tuple[str, tuple]]],
+    table: List[Fact], raw: List[_RawClause], origins: List[_Origin],
 ) -> BooleanProvenance:
     """Number the facts in :meth:`Fact.sort_key` order and rewrite the clauses.
 

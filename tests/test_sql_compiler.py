@@ -7,6 +7,7 @@ from repro.datalog.evaluation import find_assignments
 from repro.datalog.parser import parse_rule
 from repro.datalog.sql_compiler import compile_rule, find_assignments_sql
 from repro.exceptions import EvaluationError
+from repro.provenance.boolean import build_boolean_provenance
 from repro.storage.database import Database
 from repro.storage.facts import fact
 from repro.storage.schema import RelationSchema, Schema
@@ -100,6 +101,17 @@ class TestFindAssignmentsSQL:
         rule = parse_rule("delta S(x, x) :- S(x, x).")
         derived = {a.derived for a in find_assignments_sql(db, rule)}
         assert derived == {fact("S", 1, 1)}
+
+    def test_unbound_head_variable_raises_like_the_memory_path(self, schema, db):
+        # Plain rule lists skip DeltaProgram's safety check; a head variable
+        # no body atom binds fails when the first row is decoded.
+        rule = parse_rule("delta S(x, w) :- S(x, z).")
+        memory = Database.from_dicts(schema, {"R": [], "S": [(1, 10)]})
+        for backend in (memory, db):
+            with pytest.raises(EvaluationError, match="unbound"):
+                find_assignments(backend, rule)
+            with pytest.raises(EvaluationError, match="unbound"):
+                build_boolean_provenance(backend, [rule])
 
     def test_full_program_closure_matches_memory(self, schema):
         program = DeltaProgram.from_text(

@@ -699,7 +699,7 @@ class RowDecoder:
                 for term in terms
             )
             self.head_values = lambda row: tuple(
-                row[source] if is_column else source for is_column, source in sources
+                [row[source] if is_column else source for is_column, source in sources]
             )
 
     def consistent(self, row: tuple) -> bool:
@@ -724,11 +724,14 @@ class RowDecoder:
         rule = self.rule
         return Assignment(
             rule=rule,
-            bindings=tuple((name, row[column]) for name, column in self.bindings),
-            used=tuple(
+            # tuple([...]), not tuple(<generator>): a tuple grown from a
+            # generator is resized as it fills, and for the long-lived tuples
+            # of a maintenance store that raised peak RSS measurably.
+            bindings=tuple([(name, row[column]) for name, column in self.bindings]),
+            used=tuple([
                 (atom, Fact(relation, row[start:stop], tid=row[stop]))
                 for atom, (relation, start, stop) in zip(rule.body, self.atoms)
-            ),
+            ]),
             derived=Fact(rule.head.relation, self.head_values(row)),
         )
 

@@ -320,7 +320,7 @@ class TestClone:
 
         copy = source.clone()
         assert indexes(copy) == indexes(source)
-        # The clone's own first run re-issues the idempotent DDL.
+        # The clone's own first run applies the idempotent DDL again.
         assert copy.ensure_wcoj_indexes(full.wcoj_index_sql) == len(full.wcoj_index_sql)
 
     def test_statement_hooks_are_not_inherited(self, db: SQLiteDatabase):
